@@ -72,7 +72,7 @@ let fig8 () =
                       Runner.rate
                         (Systems.mdtest
                            (Systems.Dufs
-                              { zk_servers; backends = 2; backend_kind = Systems.Lustre })
+                              (Systems.dufs ~zk_servers ~backends:2 Systems.Lustre))
                            ~procs ())
                         phase ))
                   bar_procs })
@@ -109,8 +109,7 @@ let fig9 () =
                          Runner.rate
                            (Systems.mdtest
                               (Systems.Dufs
-                                 { zk_servers = 8; backends;
-                                   backend_kind = Systems.Lustre })
+                                 (Systems.dufs ~zk_servers:8 ~backends Systems.Lustre))
                               ~procs ())
                            phase ))
                      bar_procs })
@@ -127,9 +126,9 @@ let fig9 () =
 
 let fig10_systems =
   [ Systems.Basic_lustre;
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre };
+    Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre);
     Systems.Basic_pvfs;
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Pvfs } ]
+    Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Pvfs) ]
 
 let fig10 () =
   List.iter
@@ -164,10 +163,10 @@ type headline = {
 let headline_data ?(procs = 256) () =
   let rate system phase = Runner.rate (Systems.mdtest system ~procs ()) phase in
   let dufs_lustre =
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
+    Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre)
   in
   let dufs_pvfs =
-    Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Pvfs }
+    Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Pvfs)
   in
   { dir_create_vs_lustre =
       rate dufs_lustre Runner.Dir_create /. rate Systems.Basic_lustre Runner.Dir_create;
@@ -293,7 +292,7 @@ let ablation_cmd () =
     [ Systems.Basic_lustre;
       Systems.Lustre_cmd 2;
       Systems.Lustre_cmd 4;
-      Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } ]
+      Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre) ]
   in
   List.iter
     (fun phase ->
@@ -337,7 +336,7 @@ let ablation_unique () =
             (Runner.rate r Runner.File_create))
         [ false; true ])
     [ (Systems.Basic_lustre, "Basic Lustre");
-      ( Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre },
+      ( Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre),
         "DUFS 2xLustre/8zk" ) ];
   print_endline
     "  (Lustre gains from -u because private directories end the DLM lock\n\
@@ -509,7 +508,7 @@ let ablation_cache () =
   Report.print_header
     "Ablation — client-side metadata cache with watch invalidation";
   (* part 1: mdtest is scan-once, so the cache must be neutral there *)
-  let spec = { Systems.zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } in
+  let spec = Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre in
   let mdtest_row system phase =
     Runner.rate (Systems.mdtest system ~procs:256 ()) phase
   in
@@ -519,7 +518,7 @@ let ablation_cache () =
     (fun phase ->
       Printf.printf "  %-14s %14.0f %14.0f\n" (phase_series_label phase)
         (mdtest_row (Systems.Dufs spec) phase)
-        (mdtest_row (Systems.Dufs_cached spec) phase))
+        (mdtest_row (Systems.Dufs { spec with Systems.cached = true }) phase))
     [ Runner.Dir_stat; Runner.Dir_create ];
   print_endline
     "  (neutral, as expected: a scan-once workload has no re-references,\n\
@@ -669,13 +668,11 @@ let ablation_faults () =
 let batching_max_batch = 16
 
 let batching_data () =
-  let spec =
-    { Systems.zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
-  in
+  let spec = Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre in
   let configs =
     [ ("max_batch=1", Systems.Dufs spec);
       (Printf.sprintf "max_batch=%d" batching_max_batch,
-       Systems.Dufs_batched (spec, batching_max_batch)) ]
+       Systems.Dufs { spec with Systems.max_batch = batching_max_batch }) ]
   in
   List.map
     (fun phase ->
@@ -725,7 +722,7 @@ let batching ?json_path () =
 
 (* {2 mdtest under declarative fault schedules (failure-path benchmark)} *)
 
-let faults_spec = { Systems.zk_servers = 5; backends = 2; backend_kind = Systems.Lustre }
+let faults_spec = Systems.dufs ~zk_servers:5 ~backends:2 Systems.Lustre
 let faults_procs = 64
 
 (* Two complementary failure shapes. The quorum-loss schedule holds the
@@ -750,7 +747,7 @@ let faults_data () =
     | Error msg -> failwith (Printf.sprintf "fault plan %s: %s" label msg)
   in
   let run label plan =
-    (label, Systems.mdtest_faulted ~spec:faults_spec ~procs:faults_procs ~plan ())
+    (label, Systems.run (Systems.run_spec ~plan faults_spec ~procs:faults_procs))
   in
   run "fault-free" []
   :: List.map (fun (label, text) -> run label (parse label text)) fault_plans
@@ -773,21 +770,22 @@ let faults ?json_path () =
     (fun phase ->
       Printf.printf "%-14s" (Runner.phase_to_string phase);
       List.iter
-        (fun (_, (r : Systems.fault_run)) ->
+        (fun (_, (r : Systems.run_result)) ->
           Printf.printf " %20.0f" (Runner.rate r.Systems.results phase))
         data;
       print_newline ())
     Runner.all_phases;
   print_newline ();
   List.iter
-    (fun (label, (r : Systems.fault_run)) ->
+    (fun (label, (r : Systems.run_result)) ->
       Printf.printf
         "%-20s errors=%d  dedup_hits=%d  faults_fired=%d  znodes@file-stat=%d \
          (expected %d%s)\n"
-        label r.Systems.results.Runner.errors r.Systems.dedup_hits
-        r.Systems.faults_fired r.Systems.znodes_after_create
-        r.Systems.expected_znodes_after_create
-        (if r.Systems.znodes_after_create = r.Systems.expected_znodes_after_create
+        label r.Systems.results.Runner.errors
+        (Zk.Shard_router.dedup_hits r.Systems.router)
+        r.Systems.faults_fired r.Systems.logical_znodes_at_stat
+        r.Systems.expected_logical_znodes
+        (if r.Systems.logical_znodes_at_stat = r.Systems.expected_logical_znodes
          then ", exact"
          else ", MISMATCH"))
     data;
@@ -797,7 +795,7 @@ let faults ?json_path () =
   | Some path ->
     let points =
       List.concat_map
-        (fun (label, (r : Systems.fault_run)) ->
+        (fun (label, (r : Systems.run_result)) ->
           List.map
             (fun phase ->
               Report.point
@@ -819,7 +817,7 @@ let faults ?json_path () =
    the honesty check, not a modelling assumption. *)
 
 let profile_spec =
-  { Systems.zk_servers = 8; backends = 2; backend_kind = Systems.Lustre }
+  Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre
 
 let profile_config = "profile|zk=8|backends=2xLustre"
 let zk_write_ops = [ "create"; "delete"; "set"; "multi" ]
@@ -854,12 +852,12 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
   let runs =
     List.map
       (fun procs ->
-        (procs, Systems.mdtest_profiled ~spec:profile_spec ~procs ()))
+        (procs, Systems.run (Systems.run_spec ~traced:true profile_spec ~procs)))
       procs_list
   in
   let coverage_failures = ref [] in
   List.iter
-    (fun (procs, (r : Systems.profile_run)) ->
+    (fun (procs, (r : Systems.run_result)) ->
       let trace = r.Systems.trace in
       Report.print_header
         (Printf.sprintf
@@ -940,7 +938,7 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
   | Some path ->
     let points =
       List.concat_map
-        (fun (procs, (r : Systems.profile_run)) ->
+        (fun (procs, (r : Systems.run_result)) ->
           let client_points =
             List.filter_map
               (fun phase ->
@@ -1007,7 +1005,7 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
    4 back-ends the file-create phase saturates the back-end MDSes near
    20k ops/s and every sharded configuration flatlines there.) *)
 let sharding_spec ~servers =
-  { Systems.zk_servers = servers; backends = 8; backend_kind = Systems.Lustre }
+  Systems.dufs ~zk_servers:servers ~backends:8 Systems.Lustre
 
 (* shards x servers-per-shard, all 8 servers in total *)
 let sharding_topologies = [ (1, 8); (2, 4); (4, 2) ]
@@ -1026,8 +1024,10 @@ let sharding_data ?(procs_list = bar_procs) ?(topologies = sharding_topologies)
           List.map
             (fun procs ->
               ( (shards, servers, max_batch, procs),
-                Systems.mdtest_sharded_profiled ~spec:(sharding_spec ~servers)
-                  ~shards ~max_batch ~procs () ))
+                Systems.run
+                  (Systems.run_spec ~traced:true
+                     { (sharding_spec ~servers) with Systems.shards; max_batch }
+                     ~procs) ))
             procs_list)
         batches)
     topologies
@@ -1044,7 +1044,7 @@ let shard_queue_wait_mean trace i =
     Some (Simkit.Stat.Summary.mean s)
   | Some _ | None -> None
 
-let shard_stats_of (r : Systems.sharded_profile_run) =
+let shard_stats_of (r : Systems.run_result) =
   let writes = Zk.Shard_router.writes_committed_by_shard r.Systems.router
   and hits = Zk.Shard_router.dedup_hits_by_shard r.Systems.router in
   Array.to_list
@@ -1080,7 +1080,7 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
              { Report.label = sharding_config_label ~shards:s ~servers:v ~max_batch:b;
                points =
                  List.filter_map
-                   (fun ((s', v', b', procs), (r : Systems.sharded_profile_run)) ->
+                   (fun ((s', v', b', procs), (r : Systems.run_result)) ->
                      if (s', v', b') = (s, v, b) then
                        Some (procs, Runner.rate r.Systems.results phase)
                      else None)
@@ -1095,7 +1095,7 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
     "znodes@stat" "per-shard [znodes qw_s]";
   let accounting_failures = ref [] in
   List.iter
-    (fun (key, (r : Systems.sharded_profile_run)) ->
+    (fun (key, (r : Systems.run_result)) ->
       let _, _, _, procs = key in
       let trace = r.Systems.trace in
       let qw =
@@ -1157,7 +1157,7 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
   | Some path ->
     let points =
       List.concat_map
-        (fun ((shards, servers, max_batch, procs), (r : Systems.sharded_profile_run)) ->
+        (fun ((shards, servers, max_batch, procs), (r : Systems.run_result)) ->
           let config = sharding_config_label ~shards ~servers ~max_batch in
           let mdtest_points =
             List.filter_map
@@ -1375,19 +1375,6 @@ let reshard_config_label ~shards ~to_shards ~max_batch =
   Printf.sprintf "reshard=%d->%d|servers=%d|max_batch=%d|backends=8xLustre"
     shards to_shards reshard_servers max_batch
 
-let reshard_shard_stats (r : Systems.reshard_run) =
-  let writes = Zk.Shard_router.writes_committed_by_shard r.Systems.router
-  and hits = Zk.Shard_router.dedup_hits_by_shard r.Systems.router in
-  Array.to_list
-    (Array.mapi
-       (fun i znodes ->
-         { Report.shard = i;
-           znodes;
-           writes_committed = writes.(i);
-           dedup_hits = hits.(i);
-           queue_wait_mean_s = None })
-       r.Systems.per_shard_znodes)
-
 let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
   Report.print_header
     "Elastic resharding: live shard split/merge during mdtest file creates";
@@ -1397,8 +1384,10 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
       (fun procs ->
         let go ~shards ~to_shards =
           ( (shards, to_shards, procs),
-            Systems.mdtest_reshard ~max_batch ~spec ~shards ~to_shards ~procs
-              () )
+            Systems.run
+              (Systems.run_spec ~history_clients:8 ~reshard_to:to_shards
+                 { spec with Systems.shards; max_batch }
+                 ~procs) )
         in
         [ go ~shards:2 ~to_shards:2 (* no-split baseline *);
           go ~shards:2 ~to_shards:4 (* the live split *) ]
@@ -1412,7 +1401,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   List.iter
-    (fun ((shards, to_shards, procs), (r : Systems.reshard_run)) ->
+    (fun ((shards, to_shards, procs), (r : Systems.run_result)) ->
       let label = Printf.sprintf "%d->%d shards" shards to_shards in
       let p99_ms =
         match Runner.latency_of r.Systems.results Runner.File_create with
@@ -1440,7 +1429,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
       if r.Systems.violations <> [] then
         fail "%s: %d linearizability violations" ctx
           (List.length r.Systems.violations);
-      if r.Systems.history_checked = 0 then fail "%s: oracle checked 0 ops" ctx;
+      if Zk.History.checked_ops r.Systems.history = 0 then fail "%s: oracle checked 0 ops" ctx;
       match r.Systems.reshard with
       | None ->
         if to_shards <> shards then fail "%s: controller never finished" ctx
@@ -1457,7 +1446,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
   | Some path ->
     let points =
       List.concat_map
-        (fun ((shards, to_shards, procs), (r : Systems.reshard_run)) ->
+        (fun ((shards, to_shards, procs), (r : Systems.run_result)) ->
           let config = reshard_config_label ~shards ~to_shards ~max_batch in
           let mdtest_points =
             List.filter_map
@@ -1487,11 +1476,12 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
                      config r.Systems.expected_logical_znodes
                      r.Systems.logical_znodes_at_stat
                      r.Systems.live_stubs_at_stat keys_total keys_migrated
-                     (List.length r.Systems.violations) r.Systems.history_checked
-                     r.Systems.history_recorded r.Systems.reshard_window
+                     (List.length r.Systems.violations)
+                     (Zk.History.checked_ops r.Systems.history)
+                     (Zk.History.recorded r.Systems.history) r.Systems.reshard_window
                      controller_errors r.Systems.results.Runner.errors)
                 ~ops_per_sec:0.0
-                ~shards:(reshard_shard_stats r) () ]
+                ~shards:(shard_stats_of r) () ]
           in
           mdtest_points @ accounting)
         runs
@@ -1552,8 +1542,9 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
                 max_inflight_batches = window }
             in
             ( (name, procs),
-              Systems.mdtest_profiled ~config_adjust ~spec:profile_spec ~procs
-                () ))
+              Systems.run
+                (Systems.run_spec ~config_adjust ~traced:true profile_spec
+                   ~procs) ))
           pipeline_variants)
       procs_list
   in
@@ -1562,7 +1553,7 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   Printf.printf " %9s %9s\n" "qw+ack" "coverage";
   let qw_ack = Hashtbl.create 16 in
   List.iter
-    (fun ((name, procs), (r : Systems.profile_run)) ->
+    (fun ((name, procs), (r : Systems.run_result)) ->
       let trace = r.Systems.trace in
       List.iter
         (fun op ->
@@ -1677,7 +1668,7 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
    | Some path ->
      let mdtest_points =
        List.concat_map
-         (fun ((name, procs), (r : Systems.profile_run)) ->
+         (fun ((name, procs), (r : Systems.run_result)) ->
            let config = pipeline_config_label name in
            let client_points =
              List.filter_map
@@ -1847,6 +1838,9 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
   Printf.printf "%5s %14s %9s %7s %6s %7s %8s %9s %6s %6s %6s %7s %5s %5s\n"
     "seed" "flavor" "recorded" "audited" "undet" "mderr" "replayed" "truncated"
     "snaps" "falls" "diff" "rectime" "lin" "dur";
+  let ensemble (r : Systems.durability_run) =
+    (Zk.Shard_router.ensembles r.Systems.d_run.Systems.router).(0)
+  and history (r : Systems.durability_run) = r.Systems.d_run.Systems.history in
   let run_one i seed =
     let label = durability_flavors.(i mod Array.length durability_flavors) in
     let plan = durability_plan ~servers:durability_servers ~seed ~flavor:label in
@@ -1854,14 +1848,15 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
       Systems.durability_run ~servers:durability_servers ~procs ~reg_clients
         ~ops_per_client ~dirs_per_proc ~files_per_proc ~plan ~label ~seed ()
     in
+    let e = ensemble r and h = history r and run = r.Systems.d_run in
     Printf.printf
       "%5Ld %14s %9d %7d %6d %7d %8d %9d %6d %6d %6d %6.3fs %5d %5d%s\n%!"
-      seed label r.Systems.d_recorded r.Systems.d_audited
-      r.Systems.d_undetermined r.Systems.d_mdtest_errors
-      r.Systems.d_wal_replayed r.Systems.d_wal_truncated
-      r.Systems.d_snap_loads r.Systems.d_snap_fallbacks
-      r.Systems.d_transfer_diff_txns r.Systems.d_recovery_time_max
-      (List.length r.Systems.d_violations)
+      seed label (Zk.History.recorded h) (Zk.History.audited_paths h)
+      (Zk.History.undetermined h) run.Systems.results.Runner.errors
+      (Zk.Ensemble.wal_replayed e) (Zk.Ensemble.wal_truncated e)
+      (Zk.Ensemble.snap_loads e) (Zk.Ensemble.snap_fallbacks e)
+      (Zk.Ensemble.transfer_diff_txns e) (Zk.Ensemble.recovery_time_max e)
+      (List.length run.Systems.violations)
       (List.length r.Systems.d_durability_violations)
       ((if r.Systems.d_recovered then "" else "  NOT-RECOVERED")
        ^ if r.Systems.d_trees_agree then "" else "  REPLICAS-DISAGREE");
@@ -1869,18 +1864,19 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
       (fun (v : Zk.History.violation) ->
         Printf.printf "    VIOLATION [%s] %s: %s\n" v.Zk.History.v_kind
           v.Zk.History.v_path v.Zk.History.v_detail)
-      (r.Systems.d_violations @ r.Systems.d_durability_violations);
+      (run.Systems.violations @ r.Systems.d_durability_violations);
     r
   in
   let results = List.mapi run_one seeds in
   (* Determinism: the first schedule again, bit-identical history. *)
   let again = run_one 0 (List.hd seeds) in
   let deterministic =
-    again.Systems.d_digest = (List.hd results).Systems.d_digest
+    Zk.History.digest (history again)
+    = Zk.History.digest (history (List.hd results))
   in
   let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
   let lin_violations =
-    total (fun (r : Systems.durability_run) -> List.length r.Systems.d_violations)
+    total (fun r -> List.length r.Systems.d_run.Systems.violations)
   in
   let dur_violations =
     total (fun (r : Systems.durability_run) ->
@@ -1901,20 +1897,20 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
   let truncated_torn =
     List.fold_left
       (fun acc r ->
-        if truncating_flavor r then acc + r.Systems.d_wal_truncated else acc)
+        if truncating_flavor r then acc + Zk.Ensemble.wal_truncated (ensemble r) else acc)
       0 results
   in
-  let replayed_total = total (fun r -> r.Systems.d_wal_replayed) in
-  let diff_total = total (fun r -> r.Systems.d_transfer_diff_txns) in
-  let recoveries_total = total (fun r -> r.Systems.d_recoveries) in
+  let replayed_total = total (fun r -> Zk.Ensemble.wal_replayed (ensemble r)) in
+  let diff_total = total (fun r -> Zk.Ensemble.transfer_diff_txns (ensemble r)) in
+  let recoveries_total = total (fun r -> Zk.Ensemble.recoveries (ensemble r)) in
   let rec_time_total =
     List.fold_left
-      (fun acc (r : Systems.durability_run) -> acc +. r.Systems.d_recovery_time_total)
+      (fun acc r -> acc +. Zk.Ensemble.recovery_time_total (ensemble r))
       0. results
   in
   let rec_time_max =
     List.fold_left
-      (fun acc (r : Systems.durability_run) -> Float.max acc r.Systems.d_recovery_time_max)
+      (fun acc r -> Float.max acc (Zk.Ensemble.recovery_time_max (ensemble r)))
       0. results
   in
   Printf.printf
@@ -1927,7 +1923,7 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
     (if recoveries_total > 0 then rec_time_total /. float_of_int recoveries_total
      else 0.)
     rec_time_max replayed_total diff_total
-    (total (fun r -> r.Systems.d_transfer_snaps))
+    (total (fun r -> Zk.Ensemble.transfer_snaps (ensemble r)))
     truncated_torn (List.hd seeds)
     (if deterministic then "identical" else "DIFFERS (nondeterminism!)");
   (match json_path with
@@ -1936,36 +1932,37 @@ let durability ?(seeds = List.map Int64.of_int [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 
      let points =
        List.map
          (fun (r : Systems.durability_run) ->
+           let e = ensemble r and h = history r and run = r.Systems.d_run in
            Report.point ~experiment:"durability" ~procs
              ~config:
                (Printf.sprintf "seed=%Ld|flavor=%s|zk=%d" r.Systems.d_seed
                   r.Systems.d_label durability_servers)
              ~ops_per_sec:
-               (Mdtest.Runner.rate r.Systems.d_results Mdtest.Runner.File_create)
+               (Mdtest.Runner.rate run.Systems.results Mdtest.Runner.File_create)
              ~phases:
-               [ ("violations", float_of_int (List.length r.Systems.d_violations));
+               [ ("violations", float_of_int (List.length run.Systems.violations));
                  ( "durability_violations",
                    float_of_int (List.length r.Systems.d_durability_violations) );
-                 ("ops_recorded", float_of_int r.Systems.d_recorded);
-                 ("registers_audited", float_of_int r.Systems.d_audited);
-                 ("undetermined", float_of_int r.Systems.d_undetermined);
-                 ("mdtest_errors", float_of_int r.Systems.d_mdtest_errors);
+                 ("ops_recorded", float_of_int (Zk.History.recorded h));
+                 ("registers_audited", float_of_int (Zk.History.audited_paths h));
+                 ("undetermined", float_of_int (Zk.History.undetermined h));
+                 ("mdtest_errors", float_of_int run.Systems.results.Runner.errors);
                  ("power_failure_recovered", if r.Systems.d_recovered then 1. else 0.);
                  ("replicas_agree", if r.Systems.d_trees_agree then 1. else 0.);
-                 ("faults_fired", float_of_int r.Systems.d_faults_fired);
-                 ("wal.appended", float_of_int r.Systems.d_wal_appended);
-                 ("wal.replayed", float_of_int r.Systems.d_wal_replayed);
-                 ("wal.truncated_records", float_of_int r.Systems.d_wal_truncated);
-                 ("wal.tail_dropped", float_of_int r.Systems.d_wal_tail_dropped);
-                 ("wal.tail_commits", float_of_int r.Systems.d_wal_tail_commits);
-                 ("snap.loads", float_of_int r.Systems.d_snap_loads);
+                 ("faults_fired", float_of_int run.Systems.faults_fired);
+                 ("wal.appended", float_of_int (Zk.Ensemble.wal_appended e));
+                 ("wal.replayed", float_of_int (Zk.Ensemble.wal_replayed e));
+                 ("wal.truncated_records", float_of_int (Zk.Ensemble.wal_truncated e));
+                 ("wal.tail_dropped", float_of_int (Zk.Ensemble.wal_tail_dropped e));
+                 ("wal.tail_commits", float_of_int (Zk.Ensemble.wal_tail_commits e));
+                 ("snap.loads", float_of_int (Zk.Ensemble.snap_loads e));
                  ( "snap.corrupt_fallbacks",
-                   float_of_int r.Systems.d_snap_fallbacks );
-                 ("recovery.count", float_of_int r.Systems.d_recoveries);
-                 ("recovery.time_total_s", r.Systems.d_recovery_time_total);
-                 ("recovery.time_max_s", r.Systems.d_recovery_time_max);
-                 ("transfer.diff_txns", float_of_int r.Systems.d_transfer_diff_txns);
-                 ("transfer.snaps", float_of_int r.Systems.d_transfer_snaps) ]
+                   float_of_int (Zk.Ensemble.snap_fallbacks e) );
+                 ("recovery.count", float_of_int (Zk.Ensemble.recoveries e));
+                 ("recovery.time_total_s", Zk.Ensemble.recovery_time_total e);
+                 ("recovery.time_max_s", Zk.Ensemble.recovery_time_max e);
+                 ("transfer.diff_txns", float_of_int (Zk.Ensemble.transfer_diff_txns e));
+                 ("transfer.snaps", float_of_int (Zk.Ensemble.transfer_snaps e)) ]
              ())
          results
        @ [ Report.point ~experiment:"durability-summary" ~procs

@@ -98,9 +98,9 @@ val fault_plans : (string * string) list
     sub-quorum leader loss with delayed recovery, and rolling follower
     crash/restart. Parseable with {!Faults.Faultplan.parse}. *)
 
-val faults_data : unit -> (string * Systems.fault_run) list
-(** One {!Systems.mdtest_faulted} run per configuration, headed by the
-    exactly-comparable fault-free baseline (empty plan). *)
+val faults_data : unit -> (string * Systems.run_result) list
+(** One {!Systems.run} per schedule, headed by the exactly-comparable
+    fault-free baseline (empty plan). *)
 
 (** Print per-phase rates plus the exactly-once invariants (errors,
     dedup hits, znode accounting) for each schedule; with [json_path],
@@ -145,7 +145,7 @@ val sharding_data :
   ?topologies:(int * int) list ->
   ?batches:int list ->
   unit ->
-  ((int * int * int * int) * Systems.sharded_profile_run) list
+  ((int * int * int * int) * Systems.run_result) list
 (** [((shards, servers_per_shard, max_batch, procs), run)] for each
     combination, defaults 1x8/2x4/4x2 x batch 1/16 x 64/128/256. *)
 
@@ -217,7 +217,7 @@ val sessions_smoke : ?json_path:string -> unit -> unit
     At each process count: the no-split 2-shard baseline, the live
     2->4 split fired at the file-create barrier, and (at the smallest
     process count) a 4->2 merge — all through
-    {!Systems.mdtest_reshard}, with the linearizability oracle on a
+    {!Systems.run} with [reshard_to] set, with the linearizability oracle on a
     slice of the client sessions. Fails if any run reports client
     errors, an inexact logical census, oracle violations, or a
     migration that is not a proper bounded-load remainder. With

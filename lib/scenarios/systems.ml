@@ -8,38 +8,37 @@ type dufs_spec = {
   zk_servers : int;
   backends : int;
   backend_kind : backend_kind;
+  shards : int;
+  max_batch : int;
+  cached : bool;
 }
+
+let dufs ?(shards = 1) ?(max_batch = 1) ?(cached = false) ~zk_servers ~backends
+    backend_kind =
+  { zk_servers; backends; backend_kind; shards; max_batch; cached }
 
 type system =
   | Basic_lustre
   | Basic_pvfs
   | Lustre_cmd of int
   | Dufs of dufs_spec
-  | Dufs_cached of dufs_spec
-  | Dufs_batched of dufs_spec * int
-  | Dufs_sharded of dufs_spec * int * int
-      (* spec (zk_servers = servers PER shard), shard count, max_batch *)
 
 let system_label = function
   | Basic_lustre -> "Basic Lustre"
   | Basic_pvfs -> "Basic PVFS"
   | Lustre_cmd mds -> Printf.sprintf "Lustre CMD %d MDS" mds
-  | Dufs { zk_servers; backends; backend_kind } ->
-    Printf.sprintf "DUFS %dx%s/%dzk" backends
-      (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
-      zk_servers
-  | Dufs_cached { zk_servers; backends; backend_kind } ->
-    Printf.sprintf "DUFS+cache %dx%s/%dzk" backends
-      (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
-      zk_servers
-  | Dufs_batched ({ zk_servers; backends; backend_kind }, max_batch) ->
-    Printf.sprintf "DUFS+batch%d %dx%s/%dzk" max_batch backends
-      (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
-      zk_servers
-  | Dufs_sharded ({ zk_servers; backends; backend_kind }, shards, max_batch) ->
-    Printf.sprintf "DUFS+shards%dx%d+batch%d %dx%s" shards zk_servers max_batch
-      backends
-      (match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS")
+  | Dufs { zk_servers; backends; backend_kind; shards; max_batch; cached } ->
+    let kind = match backend_kind with Lustre -> "Lustre" | Pvfs -> "PVFS" in
+    let features =
+      (if cached then "+cache" else "")
+      ^
+      if shards > 1 then
+        Printf.sprintf "+shards%dx%d+batch%d" shards zk_servers max_batch
+      else if max_batch > 1 then Printf.sprintf "+batch%d" max_batch
+      else ""
+    in
+    if shards > 1 then Printf.sprintf "DUFS%s %dx%s" features backends kind
+    else Printf.sprintf "DUFS%s %dx%s/%dzk" features backends kind zk_servers
 
 let zk_config ?(max_batch = 1) ~servers ~procs () =
   { (Zk.Ensemble.default_config ~servers) with
@@ -56,13 +55,10 @@ let zk_config ?(max_batch = 1) ~servers ~procs () =
       Pfs.Costs.colocated_load_factor ~procs ~nodes:Pfs.Costs.client_nodes
         ~cores:Pfs.Costs.cores_per_node }
 
-(* DUFS stack builder, exposed separately from [build_system] so fault
-   experiments can keep a handle on the ensemble they are crashing, and
-   profile runs can thread a span trace through the whole request path
-   (ensemble quorum phases + client root spans) and read back each
-   back-end metadata station's wait-vs-service split. *)
+(* Formatted back-end mounts: a per-proc client factory plus each
+   back-end metadata station's (wait, hold) time summaries. *)
 let build_backends engine ~spec =
-  let { backends; backend_kind; zk_servers = _ } = spec in
+  let { backends; backend_kind; _ } = spec in
   let layout = Dufs.Physical.default_layout in
   match backend_kind with
     | Lustre ->
@@ -111,8 +107,7 @@ let build_backends engine ~spec =
                     (Pfs.Pvfs_sim.hold_summaries mount))
                 mounts)) )
 
-(* Per-proc VFS ops over an arbitrary coordination session factory —
-   shared by the single-ensemble and sharded builders. *)
+(* Per-proc VFS ops over a coordination session factory. *)
 let dufs_ops_for_proc ~trace engine ~session_of ~backend_clients ~cached proc =
   let session : Zk.Zk_client.handle = session_of () in
   let coord =
@@ -130,35 +125,8 @@ let dufs_ops_for_proc ~trace engine ~session_of ~backend_clients ~cached proc =
   in
   Dufs.Client.ops client
 
-let build_dufs ?(trace = Obs.Trace.null) engine ~spec ~config ~cached =
-  let ensemble = Zk.Ensemble.start ~trace engine config in
-  let backend_clients, backend_stations = build_backends engine ~spec in
-  let ops_for_proc =
-    dufs_ops_for_proc ~trace engine
-      ~session_of:(fun () -> Zk.Ensemble.session ensemble ())
-      ~backend_clients ~cached
-  in
-  (ensemble, ops_for_proc, backend_stations)
-
-(* The sharded stack: [shards] independent ensembles, each built from
-   [config] (so [shards * config.servers] coordination servers in
-   total), behind a {!Zk.Shard_router} session per client process. *)
-let build_dufs_sharded ?(trace = Obs.Trace.null) engine ~spec ~config ~shards
-    ~cached =
-  let router = Zk.Shard_router.start ~trace engine ~shards config in
-  let backend_clients, backend_stations = build_backends engine ~spec in
-  let ops_for_proc =
-    dufs_ops_for_proc ~trace engine
-      ~session_of:(fun () -> Zk.Shard_router.session router ())
-      ~backend_clients ~cached
-  in
-  (router, ops_for_proc, backend_stations)
-
-(* Build per-process operation tables for one system on [engine]. The
-   returned closure must be invoked from inside the process's own
-   simulation context (Runner.run does). *)
-let build_system engine system ~procs =
-  match system with
+(* Per-process operation tables for a native (non-DUFS) system. *)
+let native_clients engine = function
   | Basic_lustre ->
     let fs = Pfs.Lustre_sim.create engine () in
     fun proc -> Pfs.Lustre_sim.client fs ~client_id:proc
@@ -170,18 +138,146 @@ let build_system engine system ~procs =
       Pfs.Cmd_sim.create engine ~config:(Pfs.Cmd_sim.default_config ~mds_count:mds) ()
     in
     fun proc -> Pfs.Cmd_sim.client fs ~client_id:proc
-  | (Dufs spec | Dufs_cached spec | Dufs_batched (spec, _)) as sys ->
-    let cached = match sys with Dufs_cached _ -> true | _ -> false in
-    let max_batch = match sys with Dufs_batched (_, b) -> b | _ -> 1 in
-    let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-    let _, ops_for_proc, _ = build_dufs engine ~spec ~config ~cached in
-    ops_for_proc
-  | Dufs_sharded (spec, shards, max_batch) ->
-    let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-    let _, ops_for_proc, _ =
-      build_dufs_sharded engine ~spec ~config ~shards ~cached:false
-    in
-    ops_for_proc
+  | Dufs _ -> invalid_arg "Systems.native_clients: DUFS runs through Systems.run"
+
+(* {2 The DUFS run harness}
+
+   One mdtest run over one DUFS stack: a {!Zk.Shard_router} deployment
+   (a single ensemble is the 1-shard case) plus formatted back-end
+   mounts, with each optional instrument switched on by the spec. *)
+
+type run_spec = {
+  workload : Mdtest.Workload.config;
+  dufs : dufs_spec;
+  config_adjust : Zk.Ensemble.config -> Zk.Ensemble.config;
+  plan : Faults.Faultplan.t;
+  traced : bool;
+  history_clients : int;
+  reshard_to : int option;
+  side_load : (Engine.t -> Zk.Shard_router.t -> Zk.History.t -> unit) option;
+}
+
+let run_spec ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false)
+    ?(config_adjust = Fun.id) ?(plan = []) ?(traced = false)
+    ?(history_clients = 0) ?reshard_to ?side_load dufs ~procs =
+  { workload =
+      Mdtest.Workload.config ~dirs_per_proc ~files_per_proc
+        ~unique_working_dirs:unique ~procs ();
+    dufs; config_adjust; plan; traced; history_clients; reshard_to; side_load }
+
+type run_result = {
+  results : Mdtest.Runner.results;
+  engine : Engine.t;
+  router : Zk.Shard_router.t;
+  trace : Obs.Trace.t;
+  backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
+  per_shard_znodes : int array;
+  live_stubs_at_stat : int;
+  logical_znodes_at_stat : int;
+  expected_logical_znodes : int;
+  faults_fired : int;
+  history : Zk.History.t;
+  violations : Zk.History.violation list;
+  reshard : Zk.Reshard.stats option;
+  reshard_window : float;
+}
+
+let run spec =
+  let cfg = spec.workload and dufs = spec.dufs in
+  let procs = cfg.Mdtest.Workload.procs in
+  let engine = Engine.create () in
+  let trace =
+    if spec.traced then begin
+      let t = Obs.Trace.create () in
+      Obs.Trace.enable t;
+      t
+    end
+    else Obs.Trace.null
+  in
+  let config =
+    spec.config_adjust
+      (zk_config ~max_batch:dufs.max_batch ~servers:dufs.zk_servers ~procs ())
+  in
+  let router = Zk.Shard_router.start ~trace engine ~shards:dufs.shards config in
+  let backend_clients, backend_stations = build_backends engine ~spec:dufs in
+  let history = Zk.History.create engine in
+  let armed =
+    Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router)
+      spec.plan
+  in
+  (* one session per process (dufs_ops_for_proc calls this once per
+     proc); the first [history_clients] of them record *)
+  let next_client = ref 0 in
+  let session_of () =
+    let s = Zk.Shard_router.session router () in
+    let id = !next_client in
+    incr next_client;
+    if id < spec.history_clients then Zk.History.wrap history ~client:id s
+    else s
+  in
+  let ops_for_proc =
+    dufs_ops_for_proc ~trace engine ~session_of ~backend_clients
+      ~cached:dufs.cached
+  in
+  Option.iter (fun load -> load engine router history) spec.side_load;
+  (* The reshard controller fires at the file-create barrier, so keys
+     migrate under full write traffic. The census is sampled at the
+     file-stat barrier — every create committed, no removal begun — after
+     the controller finished: the logical population must then equal
+     zroot + skeleton + files exactly (a surplus is a doubled apply or a
+     leaked stub, a deficit a lost write). *)
+  let reshard_done = ref true and reshard = ref None in
+  let t0 = ref 0. and t1 = ref 0. in
+  let per_shard_znodes = ref [||] and live_stubs_at_stat = ref 0 in
+  let on_phase phase =
+    (match (phase, spec.reshard_to) with
+     | Mdtest.Runner.File_create, Some to_shards when to_shards <> dufs.shards ->
+       reshard_done := false;
+       Process.spawn engine (fun () ->
+           t0 := Engine.now engine;
+           let st =
+             if to_shards > dufs.shards then Zk.Reshard.split router ~to_shards ()
+             else Zk.Reshard.merge router ~to_shards ()
+           in
+           t1 := Engine.now engine;
+           reshard := Some st;
+           reshard_done := true)
+     | _ -> ());
+    if phase = Mdtest.Runner.File_stat then begin
+      while not !reshard_done do
+        Process.sleep 0.005
+      done;
+      per_shard_znodes := Zk.Shard_router.node_counts router;
+      live_stubs_at_stat :=
+        Zk.Shard_router.live_stubs (Zk.Shard_router.stats router)
+    end;
+    Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
+  in
+  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
+  if spec.traced then Zk.Shard_router.publish router (Obs.Trace.metrics trace);
+  let violations =
+    if Zk.History.recorded history > 0 then
+      Zk.History.check ~max_states:2_000_000 history
+    else []
+  in
+  { results;
+    engine;
+    router;
+    trace;
+    backend_stations;
+    per_shard_znodes = !per_shard_znodes;
+    live_stubs_at_stat = !live_stubs_at_stat;
+    logical_znodes_at_stat =
+      Array.fold_left (fun acc n -> acc + (n - 1)) 0 !per_shard_znodes
+      - !live_stubs_at_stat;
+    expected_logical_znodes =
+      1 + List.length (Mdtest.Workload.skeleton cfg)
+      + (procs * cfg.Mdtest.Workload.files_per_proc);
+    faults_fired = Faults.Faultplan.fired armed;
+    history;
+    violations;
+    reshard = !reshard;
+    reshard_window = !t1 -. !t0 }
 
 let cache : (string, Mdtest.Runner.results) Hashtbl.t = Hashtbl.create 64
 let reset_cache () = Hashtbl.reset cache
@@ -195,288 +291,116 @@ let mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false) system
   match Hashtbl.find_opt cache key with
   | Some results -> results
   | None ->
-    let engine = Engine.create () in
-    let ops_for_proc = build_system engine system ~procs in
-    let cfg =
-      Mdtest.Workload.config ~dirs_per_proc ~files_per_proc
-        ~unique_working_dirs:unique ~procs ()
+    let results =
+      match system with
+      | Dufs dufs ->
+        (run (run_spec ~dirs_per_proc ~files_per_proc ~unique dufs ~procs)).results
+      | Basic_lustre | Basic_pvfs | Lustre_cmd _ ->
+        let engine = Engine.create () in
+        let ops_for_proc = native_clients engine system in
+        Mdtest.Runner.run engine
+          (Mdtest.Workload.config ~dirs_per_proc ~files_per_proc
+             ~unique_working_dirs:unique ~procs ())
+          ~ops_for_proc
     in
-    let results = Mdtest.Runner.run engine cfg ~ops_for_proc in
     Hashtbl.replace cache key results;
     results
 
-(* {2 mdtest under a fault schedule} *)
+(* {2 Register clients and probe writes (chaos and durability runs)}
 
-type fault_run = {
-  results : Mdtest.Runner.results;
-  dedup_hits : int;
-  writes_committed : int;
-  faults_fired : int;
-  znodes_after_create : int;
-  expected_znodes_after_create : int;
-}
+   Register clients speak to the coordination layer directly through a
+   {!Zk.History} recorder, so the oracle can check every op they issue. *)
 
-let mdtest_faulted ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false)
-    ?(cached = false) ?(config_adjust = fun c -> c) ~spec ~procs ~plan () =
-  let engine = Engine.create () in
-  let config = config_adjust (zk_config ~servers:spec.zk_servers ~procs ()) in
-  let ensemble, ops_for_proc, _ = build_dufs engine ~spec ~config ~cached in
-  let armed = Faults.Faultplan.arm engine ensemble plan in
-  let cfg =
-    Mdtest.Workload.config ~dirs_per_proc ~files_per_proc
-      ~unique_working_dirs:unique ~procs ()
+type reg_op = Create | Set | Delete | Get | Exists | Seq_create of string
+
+(* [mix] is a cumulative percentage table: the first entry whose bound
+   exceeds a uniform draw in [0, 100) is the op. *)
+let register_client ~router ~hist ~client ~rng ~think ~mix ~reg ~more ~ok
+    ~err =
+  let session () =
+    Zk.History.wrap hist ~client (Zk.Shard_router.session router ())
   in
-  let znodes_after_create = ref 0 in
-  let on_phase phase =
-    (* the file-stat barrier is the moment every file create has
-       committed and no removal has begun: the znode population should
-       equal exactly root + zroot + skeleton + files created — any
-       surplus is a duplicated apply, any deficit a lost write *)
-    (if phase = Mdtest.Runner.File_stat then
-       let id =
-         match Zk.Ensemble.leader_id ensemble with
-         | Some id -> id
-         | None -> List.hd (Zk.Ensemble.alive_ids ensemble)
-       in
-       znodes_after_create :=
-         Zk.Ztree.node_count (Zk.Ensemble.tree_of ensemble id));
-    Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
+  let h = ref (session ()) in
+  let n = ref 0 in
+  let fresh_data () =
+    incr n;
+    Printf.sprintf "%d.%d" client !n
   in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  { results;
-    dedup_hits = Zk.Ensemble.dedup_hits ensemble;
-    writes_committed = Zk.Ensemble.writes_committed ensemble;
-    faults_fired = Faults.Faultplan.fired armed;
-    znodes_after_create = !znodes_after_create;
-    expected_znodes_after_create =
-      (* ztree root "/" + the DUFS namespace root znode + skeleton dirs *)
-      2 + List.length (Mdtest.Workload.skeleton cfg) + (procs * files_per_proc) }
+  (* let the setup commits land before the first register op *)
+  Process.sleep (0.2 +. Simkit.Rng.exponential rng ~mean:think);
+  while more () do
+    let reg = reg () in
+    let x = Simkit.Rng.int rng 100 in
+    let outcome =
+      match snd (List.find (fun (bound, _) -> x < bound) mix) with
+      | Create -> Result.map ignore ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
+      | Set -> (!h).Zk.Zk_client.set reg ~data:(fresh_data ())
+      | Delete -> (!h).Zk.Zk_client.delete reg
+      | Get -> Result.map ignore ((!h).Zk.Zk_client.get reg)
+      | Exists -> Result.map ignore ((!h).Zk.Zk_client.exists reg)
+      | Seq_create prefix ->
+        Result.map ignore
+          ((!h).Zk.Zk_client.create ~sequential:true prefix ~data:(fresh_data ()))
+    in
+    (match outcome with
+     | Ok ()
+     | Error
+         (Zk.Zerror.ZNONODE | Zk.Zerror.ZNODEEXISTS | Zk.Zerror.ZNOTEMPTY
+         | Zk.Zerror.ZBADVERSION) ->
+       (* semantic outcome of racing clients: the service answered *)
+       incr ok
+     | Error Zk.Zerror.ZSESSIONEXPIRED ->
+       incr err;
+       h := session ();
+       Process.sleep (Simkit.Rng.exponential rng ~mean:0.2)
+     | Error _ ->
+       incr err;
+       Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
+    Process.sleep (Simkit.Rng.exponential rng ~mean:think)
+  done;
+  (!h).Zk.Zk_client.close ()
 
-(* {2 mdtest with the span trace enabled (profile runs)} *)
+(* Setup process: create [dirs] before any client op or fault. *)
+let spawn_mkdirs engine router ~what dirs =
+  Process.spawn engine (fun () ->
+      let s = Zk.Shard_router.session router () in
+      List.iter
+        (fun p ->
+          match s.Zk.Zk_client.create p ~data:"" with
+          | Ok _ -> ()
+          | Error e ->
+            failwith (what ^ " setup " ^ p ^ ": " ^ Zk.Zerror.to_string e))
+        dirs)
 
-type profile_run = {
-  results : Mdtest.Runner.results;
-  trace : Obs.Trace.t;
-  backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
-}
-
-let mdtest_profiled ?(dirs_per_proc = 60) ?(files_per_proc = 60)
-    ?(config_adjust = fun c -> c) ~spec ~procs () =
-  let engine = Engine.create () in
-  let trace = Obs.Trace.create () in
-  Obs.Trace.enable trace;
-  let config = config_adjust (zk_config ~servers:spec.zk_servers ~procs ()) in
-  let _ensemble, ops_for_proc, backend_stations =
-    build_dufs ~trace engine ~spec ~config ~cached:false
+(* Commit one fresh create at [path n], retrying every 50 ms (reopening
+   the session when it expired) with [n] counting attempts in [attempt],
+   at most [max_attempts] of them. [true] once a create committed. *)
+let probe_write router ~session ~attempt ?(max_attempts = max_int) path =
+  let rec go () =
+    incr attempt;
+    if !attempt > max_attempts then false
+    else
+      match (!session).Zk.Zk_client.create (path !attempt) ~data:"" with
+      | Ok _ -> true
+      | Error e ->
+        if e = Zk.Zerror.ZSESSIONEXPIRED then
+          session := Zk.Shard_router.session router ();
+        Process.sleep 0.05;
+        go ()
   in
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let results = Mdtest.Runner.run engine cfg ~ops_for_proc in
-  { results; trace; backend_stations }
-
-(* {2 Sharded mdtest runs}
-
-   Shared accounting: at the file-stat barrier every file create has
-   committed and no removal has begun, so the logical znode population
-   (per-shard node counts minus each shard's own root minus live stubs)
-   must equal zroot + skeleton + files exactly — any surplus is a
-   doubled apply or a leaked stub, any deficit a lost write. *)
-
-let expected_logical_znodes cfg ~procs ~files_per_proc =
-  1 + List.length (Mdtest.Workload.skeleton cfg) + (procs * files_per_proc)
-
-type sharded_profile_run = {
-  results : Mdtest.Runner.results;
-  trace : Obs.Trace.t;
-  router : Zk.Shard_router.t;
-  backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
-  per_shard_znodes : int array;   (* at the file-stat barrier *)
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-}
-
-let mdtest_sharded_profiled ?(dirs_per_proc = 60) ?(files_per_proc = 60)
-    ?(max_batch = 1) ~spec ~shards ~procs () =
-  let engine = Engine.create () in
-  let trace = Obs.Trace.create () in
-  Obs.Trace.enable trace;
-  let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-  let router, ops_for_proc, backend_stations =
-    build_dufs_sharded ~trace engine ~spec ~config ~shards ~cached:false
-  in
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let per_shard_znodes = ref [||] and live_stubs_at_stat = ref 0 in
-  let on_phase phase =
-    if phase = Mdtest.Runner.File_stat then begin
-      per_shard_znodes := Zk.Shard_router.node_counts router;
-      live_stubs_at_stat :=
-        Zk.Shard_router.live_stubs (Zk.Shard_router.stats router)
-    end
-  in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  Zk.Shard_router.publish router (Obs.Trace.metrics trace);
-  { results;
-    trace;
-    router;
-    backend_stations;
-    per_shard_znodes = !per_shard_znodes;
-    live_stubs_at_stat = !live_stubs_at_stat;
-    logical_znodes_at_stat =
-      Array.fold_left (fun acc n -> acc + (n - 1)) 0 !per_shard_znodes
-      - !live_stubs_at_stat;
-    expected_logical_znodes = expected_logical_znodes cfg ~procs ~files_per_proc }
-
-type sharded_fault_run = {
-  results : Mdtest.Runner.results;
-  dedup_hits : int;
-  dedup_hits_by_shard : int array;
-  writes_committed : int;
-  writes_committed_by_shard : int array;
-  faults_fired : int;
-  per_shard_znodes : int array;
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-  router_stats : Zk.Shard_router.stats;
-}
-
-let mdtest_sharded_faulted ?(dirs_per_proc = 60) ?(files_per_proc = 60)
-    ?(max_batch = 1) ?(config_adjust = fun c -> c) ~spec ~shards ~procs ~plan () =
-  let engine = Engine.create () in
-  let config =
-    config_adjust (zk_config ~max_batch ~servers:spec.zk_servers ~procs ())
-  in
-  let router, ops_for_proc, _ =
-    build_dufs_sharded engine ~spec ~config ~shards ~cached:false
-  in
-  let armed =
-    Faults.Faultplan.arm_shards engine (Zk.Shard_router.ensembles router) plan
-  in
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let per_shard_znodes = ref [||] and live_stubs_at_stat = ref 0 in
-  let on_phase phase =
-    if phase = Mdtest.Runner.File_stat then begin
-      per_shard_znodes := Zk.Shard_router.node_counts router;
-      live_stubs_at_stat :=
-        Zk.Shard_router.live_stubs (Zk.Shard_router.stats router)
-    end;
-    Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string phase)
-  in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  { results;
-    dedup_hits = Zk.Shard_router.dedup_hits router;
-    dedup_hits_by_shard = Zk.Shard_router.dedup_hits_by_shard router;
-    writes_committed = Zk.Shard_router.writes_committed router;
-    writes_committed_by_shard = Zk.Shard_router.writes_committed_by_shard router;
-    faults_fired = Faults.Faultplan.fired armed;
-    per_shard_znodes = !per_shard_znodes;
-    live_stubs_at_stat = !live_stubs_at_stat;
-    logical_znodes_at_stat =
-      Array.fold_left (fun acc n -> acc + (n - 1)) 0 !per_shard_znodes
-      - !live_stubs_at_stat;
-    expected_logical_znodes = expected_logical_znodes cfg ~procs ~files_per_proc;
-    router_stats = Zk.Shard_router.stats router }
-
-(* {2 Live resharding under mdtest (elastic split / merge)}
-
-   The controller fires at the file-create barrier, so the split runs
-   while every process is writing: routed ops to migrating keys park at
-   the router and resume against the new owner after the flip. A slice
-   of the client sessions records through {!Zk.History}, so the flip
-   itself is subject to the linearizability oracle. The census is still
-   sampled at the file-stat barrier — proc 0 waits there for the
-   controller to finish first, so the exactness invariant sees the
-   post-split tree. *)
-
-type reshard_run = {
-  results : Mdtest.Runner.results;
-  router : Zk.Shard_router.t;
-  reshard : Zk.Reshard.stats option;  (* [None] on the no-split baseline *)
-  reshard_window : float;             (* sim-seconds, controller start -> done *)
-  history_recorded : int;
-  history_checked : int;
-  violations : Zk.History.violation list;
-  per_shard_znodes : int array;
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-}
-
-let mdtest_reshard ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(max_batch = 1)
-    ?(history_clients = 8) ~spec ~shards ~to_shards ~procs () =
-  let engine = Engine.create () in
-  let config = zk_config ~max_batch ~servers:spec.zk_servers ~procs () in
-  let router = Zk.Shard_router.start engine ~shards config in
-  let backend_clients, _ = build_backends engine ~spec in
-  let hist = Zk.History.create engine in
-  let next_client = ref 0 in
-  (* one session per process (dufs_ops_for_proc calls this once per
-     proc); the first [history_clients] of them record *)
-  let session_of () =
-    let s = Zk.Shard_router.session router () in
-    let id = !next_client in
-    incr next_client;
-    if id < history_clients then Zk.History.wrap hist ~client:id s else s
-  in
-  let ops_for_proc =
-    dufs_ops_for_proc ~trace:Obs.Trace.null engine ~session_of ~backend_clients
-      ~cached:false
-  in
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let reshard_done = ref (to_shards = shards) in
-  let reshard_stats = ref None in
-  let t0 = ref 0. and t1 = ref 0. in
-  let per_shard_znodes = ref [||] and live_stubs_at_stat = ref 0 in
-  let on_phase phase =
-    (match phase with
-     | Mdtest.Runner.File_create when to_shards <> shards ->
-       Process.spawn engine (fun () ->
-           t0 := Engine.now engine;
-           let st =
-             if to_shards > shards then Zk.Reshard.split router ~to_shards ()
-             else Zk.Reshard.merge router ~to_shards ()
-           in
-           t1 := Engine.now engine;
-           reshard_stats := Some st;
-           reshard_done := true)
-     | _ -> ());
-    if phase = Mdtest.Runner.File_stat then begin
-      while not !reshard_done do
-        Process.sleep 0.005
-      done;
-      per_shard_znodes := Zk.Shard_router.node_counts router;
-      live_stubs_at_stat :=
-        Zk.Shard_router.live_stubs (Zk.Shard_router.stats router)
-    end
-  in
-  let results = Mdtest.Runner.run ~on_phase engine cfg ~ops_for_proc in
-  let violations = Zk.History.check hist in
-  { results;
-    router;
-    reshard = !reshard_stats;
-    reshard_window = !t1 -. !t0;
-    history_recorded = Zk.History.recorded hist;
-    history_checked = Zk.History.checked_ops hist;
-    violations;
-    per_shard_znodes = !per_shard_znodes;
-    live_stubs_at_stat = !live_stubs_at_stat;
-    logical_znodes_at_stat =
-      Array.fold_left (fun acc n -> acc + (n - 1)) 0 !per_shard_znodes
-      - !live_stubs_at_stat;
-    expected_logical_znodes = expected_logical_znodes cfg ~procs ~files_per_proc }
+  go ()
 
 (* {2 Chaos: randomized network-fault schedules with a linearizability
       oracle}
 
    Clients speak to the coordination layer directly (no PFS back-ends —
-   the oracle checks the quorum, not the data path) through a
-   {!Zk.History} recorder, while a seeded {!Faults.Faultplan.chaos}
-   schedule partitions, drops, delays, duplicates and crashes
-   underneath them. Register paths are one-per-directory so a sharded
-   deployment spreads them across shards (children co-locate with
-   their parent). After the closing heal a probe measures how long
-   each shard takes to commit a write again; after the run the
-   Wing–Gong checker searches the recorded history. *)
+   the oracle checks the quorum, not the data path) while a seeded
+   {!Faults.Faultplan.chaos} schedule partitions, drops, delays,
+   duplicates and crashes underneath them. Register paths are
+   one-per-directory so a sharded deployment spreads them across shards
+   (children co-locate with their parent). After the closing heal a
+   probe measures how long each shard takes to commit a write again;
+   after the run the Wing–Gong checker searches the recorded history. *)
 
 type chaos_run = {
   seed : int64;
@@ -500,6 +424,10 @@ type chaos_run = {
 
 let chaos_reg_dir k = Printf.sprintf "/d%d" k
 let chaos_seq_dir = "/dseq"
+
+let chaos_mix =
+  [ (25, Create); (45, Set); (60, Delete); (80, Get); (90, Exists);
+    (100, Seq_create (chaos_seq_dir ^ "/s-")) ]
 
 let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
     ?(heal_at = 15.) ?(post_heal = 10.) ?(events = 12) ?(think = 0.05)
@@ -532,69 +460,19 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
   in
   let stop = heal_at +. post_heal in
   let ops_ok = ref 0 and ops_err = ref 0 in
-  (* Setup: the register directories, so each register's children land
-     on that directory's shard. Runs before the chaos window opens. *)
-  Process.spawn engine (fun () ->
-      let s = Zk.Shard_router.session router () in
-      let mk p =
-        match s.Zk.Zk_client.create p ~data:"" with
-        | Ok _ -> ()
-        | Error e -> failwith ("chaos setup " ^ p ^ ": " ^ Zk.Zerror.to_string e)
-      in
-      for k = 0 to registers - 1 do
-        mk (chaos_reg_dir k)
-      done;
-      mk chaos_seq_dir);
+  (* the register directories, so each register's children land on that
+     directory's shard; committed before the chaos window opens *)
+  spawn_mkdirs engine router ~what:"chaos"
+    (List.init registers chaos_reg_dir @ [ chaos_seq_dir ]);
   for i = 0 to clients - 1 do
     let rng =
       Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * 7919)))
     in
     Process.spawn engine (fun () ->
-        let h =
-          ref (Zk.History.wrap hist ~client:i (Zk.Shard_router.session router ()))
-        in
-        let n = ref 0 in
-        let fresh_data () =
-          incr n;
-          Printf.sprintf "%d.%d" i !n
-        in
-        (* let the setup commits land before the first register op *)
-        Process.sleep (0.2 +. Simkit.Rng.exponential rng ~mean:think);
-        while Engine.now engine < stop do
-          let reg =
-            chaos_reg_dir (Simkit.Rng.int rng registers) ^ "/r"
-          in
-          let outcome =
-            match Simkit.Rng.int rng 100 with
-            | x when x < 25 ->
-              Result.map ignore ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
-            | x when x < 45 -> (!h).Zk.Zk_client.set reg ~data:(fresh_data ())
-            | x when x < 60 -> (!h).Zk.Zk_client.delete reg
-            | x when x < 80 -> Result.map ignore ((!h).Zk.Zk_client.get reg)
-            | x when x < 90 -> Result.map ignore ((!h).Zk.Zk_client.exists reg)
-            | _ ->
-              Result.map ignore
-                ((!h).Zk.Zk_client.create ~sequential:true
-                   (chaos_seq_dir ^ "/s-") ~data:(fresh_data ()))
-          in
-          (match outcome with
-           | Ok () -> incr ops_ok
-           | Error
-               (Zk.Zerror.ZNONODE | Zk.Zerror.ZNODEEXISTS | Zk.Zerror.ZNOTEMPTY
-               | Zk.Zerror.ZBADVERSION) ->
-             (* semantic outcome of racing clients: the service answered *)
-             incr ops_ok
-           | Error Zk.Zerror.ZSESSIONEXPIRED ->
-             incr ops_err;
-             h :=
-               Zk.History.wrap hist ~client:i (Zk.Shard_router.session router ());
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.2)
-           | Error _ ->
-             incr ops_err;
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
-          Process.sleep (Simkit.Rng.exponential rng ~mean:think)
-        done;
-        (!h).Zk.Zk_client.close ())
+        register_client ~router ~hist ~client:i ~rng ~think ~mix:chaos_mix
+          ~reg:(fun () -> chaos_reg_dir (Simkit.Rng.int rng registers) ^ "/r")
+          ~more:(fun () -> Engine.now engine < stop)
+          ~ok:ops_ok ~err:ops_err)
   done;
   (* Recovery probe: one representative register directory per shard;
      recovery is the time from heal until every one of them has
@@ -613,24 +491,13 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
             List.sort compare
               (Hashtbl.fold (fun _ dir acc -> dir :: acc) by_shard [])
           in
-          let s = ref (Zk.Shard_router.session router ()) in
-          let n = ref 0 in
+          let session = ref (Zk.Shard_router.session router ()) in
+          let attempt = ref 0 in
           List.iter
             (fun dir ->
-              let rec attempt () =
-                incr n;
-                let path = Printf.sprintf "%s/probe%d" dir !n in
-                match (!s).Zk.Zk_client.create path ~data:"" with
-                | Ok _ -> ()
-                | Error Zk.Zerror.ZSESSIONEXPIRED ->
-                  s := Zk.Shard_router.session router ();
-                  Process.sleep 0.05;
-                  attempt ()
-                | Error _ ->
-                  Process.sleep 0.05;
-                  attempt ()
-              in
-              attempt ())
+              ignore
+                (probe_write router ~session ~attempt
+                   (Printf.sprintf "%s/probe%d" dir)))
             dirs;
           recovery := Engine.now engine -. heal_at));
   Engine.run engine;
@@ -662,61 +529,58 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
 (* {2 Durability: power-failure and storage-corruption schedules with a
       durability oracle}
 
-   A 64-proc mdtest runs over the full DUFS stack while the fault plan
+   A mdtest runs over the full DUFS stack while the fault plan
    power-fails the whole coordination ensemble (optionally tearing,
    bit-rotting or snapshot-corrupting one member's disk during the
    outage). Alongside the mdtest load, a few register clients issue
-   {e unconditioned} writes with unique data values through a
+   {e unconditioned} writes with unique data values through the run's
    {!Zk.History} recorder — mdtest's own rmdir is version-conditioned
    and therefore outside the recorded-register model, so the audit runs
    over the overlay registers the oracle can actually reason about.
    After the run (engine fully drained: every restart has recovered and
-   re-elected), a probe write confirms the service is live again, the
-   Wing–Gong checker validates the recorded history, and the durability
-   oracle compares the leader's recovered tree against it: acked writes
-   must have survived the power failure, unacked ones may be lost but
-   must not resurrect inconsistently. *)
+   re-elected), a probe write confirms the service is live again, and
+   the durability oracle compares the leader's recovered tree against
+   the history: acked writes must have survived the power failure,
+   unacked ones may be lost but must not resurrect inconsistently. *)
 
 type durability_run = {
   d_seed : int64;
   d_label : string;
-  d_results : Mdtest.Runner.results;
-  d_mdtest_errors : int;
-  d_recorded : int;
-  d_checked : int;
-  d_undetermined : int;
-  d_audited : int;
-  d_violations : Zk.History.violation list;   (* linearizability *)
+  d_run : run_result;
   d_durability_violations : Zk.History.violation list;
-  d_digest : string;
   d_recovered : bool;      (* post-outage probe write committed *)
   d_trees_agree : bool;    (* all live replicas fingerprint-equal *)
-  d_faults_fired : int;
   d_reg_ok : int;
   d_reg_err : int;
-  d_wal_appended : int;
-  d_wal_replayed : int;
-  d_wal_truncated : int;
-  d_wal_tail_dropped : int;
-  d_snap_loads : int;
-  d_snap_fallbacks : int;
-  d_recoveries : int;
-  d_recovery_time_total : float;
-  d_recovery_time_max : float;
-  d_wal_tail_commits : int;
-  d_transfer_diff_txns : int;
-  d_transfer_snaps : int;
 }
 
 let dur_reg_dir k = Printf.sprintf "/dur%d" k
+let durability_mix = [ (40, Create); (70, Set); (85, Delete); (100, Get) ]
 
 let durability_run ?(servers = 5) ?(procs = 64) ?(reg_clients = 8)
     ?(registers = 8) ?(ops_per_client = 50) ?(dirs_per_proc = 12)
     ?(files_per_proc = 12) ?(think = 0.02) ~plan ~label ~seed () =
-  let engine = Engine.create () in
-  let spec = { zk_servers = servers; backends = 4; backend_kind = Lustre } in
-  let config =
-    { (zk_config ~servers ~procs ()) with
+  let reg_ok = ref 0 and reg_err = ref 0 in
+  let side_load engine router hist =
+    spawn_mkdirs engine router ~what:"durability"
+      (List.init registers dur_reg_dir);
+    for i = 0 to reg_clients - 1 do
+      let rng =
+        Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * 6007)))
+      in
+      let left = ref ops_per_client in
+      Process.spawn engine (fun () ->
+          register_client ~router ~hist ~client:i ~rng ~think
+            ~mix:durability_mix
+            ~reg:(fun () -> dur_reg_dir (Simkit.Rng.int rng registers) ^ "/r")
+            ~more:(fun () ->
+              decr left;
+              !left >= 0)
+            ~ok:reg_ok ~err:reg_err)
+    done
+  in
+  let config_adjust c =
+    { c with
       Zk.Ensemble.seed;
       request_timeout = 0.5;
       retry_backoff = 0.05;
@@ -727,94 +591,23 @@ let durability_run ?(servers = 5) ?(procs = 64) ?(reg_clients = 8)
          has something to corrupt and log pruning actually happens *)
       snapshot_every = 384 }
   in
-  let ensemble, ops_for_proc, _stations =
-    build_dufs engine ~spec ~config ~cached:false
-  in
-  let hist = Zk.History.create engine in
-  let armed = Faults.Faultplan.arm engine ensemble plan in
-  let reg_ok = ref 0 and reg_err = ref 0 in
-  (* Register directories, committed before any client op or fault. *)
-  Process.spawn engine (fun () ->
-      let s = Zk.Ensemble.session ensemble () in
-      for k = 0 to registers - 1 do
-        match s.Zk.Zk_client.create (dur_reg_dir k) ~data:"" with
-        | Ok _ -> ()
-        | Error e ->
-          failwith ("durability setup " ^ dur_reg_dir k ^ ": "
-                    ^ Zk.Zerror.to_string e)
-      done);
-  for i = 0 to reg_clients - 1 do
-    let rng =
-      Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * 6007)))
-    in
-    Process.spawn engine (fun () ->
-        let h =
-          ref (Zk.History.wrap hist ~client:i (Zk.Ensemble.session ensemble ()))
-        in
-        let n = ref 0 in
-        let fresh_data () =
-          incr n;
-          Printf.sprintf "%d.%d" i !n
-        in
-        Process.sleep (0.2 +. Simkit.Rng.exponential rng ~mean:think);
-        for _op = 1 to ops_per_client do
-          let reg = dur_reg_dir (Simkit.Rng.int rng registers) ^ "/r" in
-          let outcome =
-            match Simkit.Rng.int rng 100 with
-            | x when x < 40 ->
-              Result.map ignore
-                ((!h).Zk.Zk_client.create reg ~data:(fresh_data ()))
-            | x when x < 70 -> (!h).Zk.Zk_client.set reg ~data:(fresh_data ())
-            | x when x < 85 -> (!h).Zk.Zk_client.delete reg
-            | _ -> Result.map ignore ((!h).Zk.Zk_client.get reg)
-          in
-          (match outcome with
-           | Ok () -> incr reg_ok
-           | Error (Zk.Zerror.ZNONODE | Zk.Zerror.ZNODEEXISTS) -> incr reg_ok
-           | Error Zk.Zerror.ZSESSIONEXPIRED ->
-             incr reg_err;
-             h :=
-               Zk.History.wrap hist ~client:i (Zk.Ensemble.session ensemble ());
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.2)
-           | Error _ ->
-             incr reg_err;
-             Process.sleep (Simkit.Rng.exponential rng ~mean:0.3));
-          Process.sleep (Simkit.Rng.exponential rng ~mean:think)
-        done;
-        (!h).Zk.Zk_client.close ())
-  done;
-  let cfg = Mdtest.Workload.config ~dirs_per_proc ~files_per_proc ~procs () in
-  let results =
-    Mdtest.Runner.run
-      ~on_phase:(fun p ->
-        Faults.Faultplan.notify_phase armed (Mdtest.Runner.phase_to_string p))
-      engine cfg ~ops_for_proc
+  let r =
+    run
+      (run_spec ~dirs_per_proc ~files_per_proc ~config_adjust ~plan ~side_load
+         (dufs ~zk_servers:servers ~backends:4 Lustre)
+         ~procs)
   in
   (* The run drained with every restart recovered; prove the service is
      actually live again by committing one more write. *)
   let recovered = ref false in
-  Process.spawn engine (fun () ->
-      let s = ref (Zk.Ensemble.session ensemble ()) in
-      let attempts = ref 0 in
-      let rec go () =
-        incr attempts;
-        if !attempts <= 200 then
-          match
-            (!s).Zk.Zk_client.create
-              (Printf.sprintf "/dur-probe%d" !attempts) ~data:""
-          with
-          | Ok _ -> recovered := true
-          | Error Zk.Zerror.ZSESSIONEXPIRED ->
-            s := Zk.Ensemble.session ensemble ();
-            Process.sleep 0.05;
-            go ()
-          | Error _ ->
-            Process.sleep 0.05;
-            go ()
-      in
-      go ());
-  Engine.run engine;
-  let violations = Zk.History.check ~max_states:2_000_000 hist in
+  Process.spawn r.engine (fun () ->
+      recovered :=
+        probe_write r.router
+          ~session:(ref (Zk.Shard_router.session r.router ()))
+          ~attempt:(ref 0) ~max_attempts:200
+          (Printf.sprintf "/dur-probe%d"));
+  Engine.run r.engine;
+  let ensemble = (Zk.Shard_router.ensembles r.router).(0) in
   let lookup path =
     match Zk.Ensemble.leader_id ensemble with
     | None -> None
@@ -823,7 +616,6 @@ let durability_run ?(servers = 5) ?(procs = 64) ?(reg_clients = 8)
       | Ok (data, _) -> Some data
       | Error _ -> None)
   in
-  let durability_violations = Zk.History.durability_audit hist ~lookup in
   let trees_agree =
     match Zk.Ensemble.alive_ids ensemble with
     | [] -> false
@@ -835,32 +627,12 @@ let durability_run ?(servers = 5) ?(procs = 64) ?(reg_clients = 8)
   in
   { d_seed = seed;
     d_label = label;
-    d_results = results;
-    d_mdtest_errors = results.Mdtest.Runner.errors;
-    d_recorded = Zk.History.recorded hist;
-    d_checked = Zk.History.checked_ops hist;
-    d_undetermined = Zk.History.undetermined hist;
-    d_audited = Zk.History.audited_paths hist;
-    d_violations = violations;
-    d_durability_violations = durability_violations;
-    d_digest = Zk.History.digest hist;
+    d_run = r;
+    d_durability_violations = Zk.History.durability_audit r.history ~lookup;
     d_recovered = !recovered;
     d_trees_agree = trees_agree;
-    d_faults_fired = Faults.Faultplan.fired armed;
     d_reg_ok = !reg_ok;
-    d_reg_err = !reg_err;
-    d_wal_appended = Zk.Ensemble.wal_appended ensemble;
-    d_wal_replayed = Zk.Ensemble.wal_replayed ensemble;
-    d_wal_truncated = Zk.Ensemble.wal_truncated ensemble;
-    d_wal_tail_dropped = Zk.Ensemble.wal_tail_dropped ensemble;
-    d_snap_loads = Zk.Ensemble.snap_loads ensemble;
-    d_snap_fallbacks = Zk.Ensemble.snap_fallbacks ensemble;
-    d_recoveries = Zk.Ensemble.recoveries ensemble;
-    d_recovery_time_total = Zk.Ensemble.recovery_time_total ensemble;
-    d_recovery_time_max = Zk.Ensemble.recovery_time_max ensemble;
-    d_wal_tail_commits = Zk.Ensemble.wal_tail_commits ensemble;
-    d_transfer_diff_txns = Zk.Ensemble.transfer_diff_txns ensemble;
-    d_transfer_snaps = Zk.Ensemble.transfer_snaps ensemble }
+    d_reg_err = !reg_err }
 
 let zk_raw ~servers ~procs ?(items = 80) () =
   let engine = Engine.create () in

@@ -5,10 +5,19 @@
 type backend_kind = Lustre | Pvfs
 
 type dufs_spec = {
-  zk_servers : int;
+  zk_servers : int;      (** coordination servers {e per shard} *)
   backends : int;
   backend_kind : backend_kind;
+  shards : int;          (** ZAB ensembles behind the shard router *)
+  max_batch : int;       (** ZAB group commit; [1] = one txn per round *)
+  cached : bool;         (** client-side metadata cache ({!Dufs.Cache}) *)
 }
+
+(** A DUFS deployment; [shards] and [max_batch] default to [1], [cached]
+    to [false] — the paper's configuration. *)
+val dufs :
+  ?shards:int -> ?max_batch:int -> ?cached:bool -> zk_servers:int ->
+  backends:int -> backend_kind -> dufs_spec
 
 type system =
   | Basic_lustre
@@ -16,16 +25,6 @@ type system =
   | Lustre_cmd of int
       (** hypothetical Lustre Clustered MDS with n active servers (§VI) *)
   | Dufs of dufs_spec
-  | Dufs_cached of dufs_spec
-      (** DUFS with the client-side metadata cache ({!Dufs.Cache}) *)
-  | Dufs_batched of dufs_spec * int
-      (** DUFS with ZAB group commit: the leader batches up to the given
-          [max_batch] queued writes per persist + proposal round *)
-  | Dufs_sharded of dufs_spec * int * int
-      (** DUFS over a {!Zk.Shard_router} deployment:
-          [(spec, shards, max_batch)] with [spec.zk_servers] servers
-          {e per shard}, so [shards * zk_servers] coordination servers
-          in total, each shard its own batched ZAB ensemble *)
 
 val system_label : system -> string
 
@@ -41,203 +40,88 @@ val mdtest :
   unit ->
   Mdtest.Runner.results
 
-(** [build_dufs engine ~spec ~config ~cached] assembles the DUFS stack
-    (ensemble + formatted back-ends + per-proc client factory) and keeps
-    the ensemble visible — fault experiments need it to schedule crashes
-    while the workload runs. The third component is each back-end
-    metadata station's (wait, hold) time summaries. [trace] (default
-    off) threads one span trace through the ensemble's quorum phases and
-    every client's root spans. *)
-val build_dufs :
-  ?trace:Obs.Trace.t ->
-  Simkit.Engine.t ->
-  spec:dufs_spec ->
-  config:Zk.Ensemble.config ->
-  cached:bool ->
-  Zk.Ensemble.t
-  * (int -> Fuselike.Vfs.ops)
-  * (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array
+(** {2 The DUFS run harness}
 
-(** [build_dufs_sharded engine ~spec ~config ~shards ~cached] — the
-    sharded counterpart of {!build_dufs}: [shards] independent
-    ensembles, each built from [config], behind a {!Zk.Shard_router}
-    session per client process. The router stays visible so fault
-    experiments can crash individual shards and accounting can read
-    per-shard populations. *)
-val build_dufs_sharded :
-  ?trace:Obs.Trace.t ->
-  Simkit.Engine.t ->
-  spec:dufs_spec ->
-  config:Zk.Ensemble.config ->
-  shards:int ->
-  cached:bool ->
-  Zk.Shard_router.t
-  * (int -> Fuselike.Vfs.ops)
-  * (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array
+    One mdtest run over DUFS: a {!Zk.Shard_router} deployment of
+    [dufs.shards] ensembles (a single ensemble is the 1-shard router,
+    bit-identical to a directly started {!Zk.Ensemble}) plus
+    [dufs.backends] formatted back-end mounts. Every instrument is a
+    field of the spec. Not memoized. *)
 
-(** One mdtest run under a fault schedule, plus the invariants the
-    failure path must preserve. *)
-type fault_run = {
-  results : Mdtest.Runner.results;
-  dedup_hits : int;          (** retried writes answered exactly-once *)
-  writes_committed : int;
-  faults_fired : int;        (** schedule events that executed *)
-  znodes_after_create : int;
-      (** znode population at the file-stat barrier (all creates
-          committed, no removes yet) *)
-  expected_znodes_after_create : int;
-      (** root + namespace root + skeleton + files created: equality
-          with [znodes_after_create] rules out duplicate or lost
-          applies *)
+type run_spec = {
+  workload : Mdtest.Workload.config;
+  dufs : dufs_spec;
+  config_adjust : Zk.Ensemble.config -> Zk.Ensemble.config;
+      (** applied to {!zk_config} (tests shrink timeouts; the pipeline
+          bench opens the proposal window) *)
+  plan : Faults.Faultplan.t;
+      (** armed against the shards; [[]] is the fault-free baseline. Its
+          phase anchors follow mdtest's phases. *)
+  traced : bool;
+      (** span trace through the quorum phases and every client's root
+          spans; tracing never sleeps or schedules, so throughput equals
+          the untraced run's *)
+  history_clients : int;
+      (** the first [n] client sessions record through {!Zk.History},
+          below the DUFS client *)
+  reshard_to : int option;
+      (** a controller spawned at the file-create barrier splits (or
+          merges) the deployment to this many shards under full write
+          traffic *)
+  side_load : (Simkit.Engine.t -> Zk.Shard_router.t -> Zk.History.t -> unit) option;
+      (** spawns extra processes beside mdtest, after the stack is built
+          and before the first phase *)
 }
 
-(** [mdtest_faulted ~spec ~procs ~plan ()] — mdtest over DUFS while
-    [plan] crashes and restarts ensemble servers underneath it.
-    [config_adjust] tweaks the ensemble configuration (tests shrink the
-    timeouts); an empty plan gives the exactly-comparable fault-free
-    baseline. Not memoized. *)
-val mdtest_faulted :
+(** Defaults: 60 dirs and 60 files per proc, shared working dirs, no
+    adjustment, no faults, untraced, no recording, no reshard. *)
+val run_spec :
   ?dirs_per_proc:int ->
   ?files_per_proc:int ->
   ?unique:bool ->
-  ?cached:bool ->
   ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
-  spec:dufs_spec ->
+  ?plan:Faults.Faultplan.t ->
+  ?traced:bool ->
+  ?history_clients:int ->
+  ?reshard_to:int ->
+  ?side_load:(Simkit.Engine.t -> Zk.Shard_router.t -> Zk.History.t -> unit) ->
+  dufs_spec ->
   procs:int ->
-  plan:Faults.Faultplan.t ->
-  unit ->
-  fault_run
+  run_spec
 
-(** One mdtest run with the span trace enabled end to end. *)
-type profile_run = {
+(** The census fields are sampled at the file-stat barrier (every file
+    create committed, no removal begun, any reshard finished):
+    per-shard raw node counts, the router's live stub count, and the
+    logical population [sum (counts - 1) - live_stubs], which must equal
+    [expected_logical_znodes] (zroot + skeleton + files) exactly — a
+    surplus is a doubled apply or leaked stub, a deficit a lost write.
+    Counters (writes committed, dedup hits, per shard) are read from
+    [router]. *)
+type run_result = {
   results : Mdtest.Runner.results;
+  engine : Simkit.Engine.t;     (** drained; callers may spawn more *)
+  router : Zk.Shard_router.t;
   trace : Obs.Trace.t;
-      (** spans recorded during the run: [dufs.<op>] client root spans,
-          [zk.<op>.<phase>] quorum phases, leader queue/batch gauges *)
+      (** [dufs.<op>] client root spans, [zk.<op>.<phase>] quorum
+          phases, leader gauges and the router's published per-shard
+          gauges; {!Obs.Trace.null} when untraced *)
   backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
       (** per back-end metadata station: (handler-queue wait, in-service
           hold) time summaries *)
-}
-
-(** [mdtest_profiled ~spec ~procs ()] — mdtest over DUFS with tracing
-    on. Not memoized; the trace belongs to this run alone. Tracing never
-    sleeps or schedules, so throughput equals the untraced run's.
-    [config_adjust] tweaks the ensemble configuration (the write-pipeline
-    bench turns on group commit and proposal pipelining with it). *)
-val mdtest_profiled :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
-  spec:dufs_spec ->
-  procs:int ->
-  unit ->
-  profile_run
-
-(** {2 Sharded runs}
-
-    Both sharded run types carry the same accounting, sampled at the
-    file-stat barrier (every file create committed, no removal begun):
-    per-shard raw node counts, the router's live stub count at that
-    instant, and the derived logical population
-    [sum (counts - 1) - live_stubs], which must equal
-    [expected_logical_znodes] (zroot + skeleton + files) exactly —
-    a surplus is a doubled apply or leaked stub, a deficit a lost
-    write. *)
-
-(** Sharded mdtest with the span trace enabled end to end ([publish]ed
-    per-shard gauges included). Not memoized. *)
-type sharded_profile_run = {
-  results : Mdtest.Runner.results;
-  trace : Obs.Trace.t;
-  router : Zk.Shard_router.t;
-  backend_stations : (Simkit.Stat.Summary.t * Simkit.Stat.Summary.t) array;
   per_shard_znodes : int array;
   live_stubs_at_stat : int;
   logical_znodes_at_stat : int;
   expected_logical_znodes : int;
-}
-
-val mdtest_sharded_profiled :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?max_batch:int ->
-  spec:dufs_spec ->
-  shards:int ->
-  procs:int ->
-  unit ->
-  sharded_profile_run
-
-(** Sharded mdtest under a fault schedule (see {!mdtest_faulted});
-    the plan may address shards with the [crash=<shard>/<id>] /
-    [crash-leader@shard=<k>] syntax. Untraced. *)
-type sharded_fault_run = {
-  results : Mdtest.Runner.results;
-  dedup_hits : int;
-  dedup_hits_by_shard : int array;
-  writes_committed : int;
-  writes_committed_by_shard : int array;
-  faults_fired : int;
-  per_shard_znodes : int array;
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
-  router_stats : Zk.Shard_router.stats;
-}
-
-val mdtest_sharded_faulted :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?max_batch:int ->
-  ?config_adjust:(Zk.Ensemble.config -> Zk.Ensemble.config) ->
-  spec:dufs_spec ->
-  shards:int ->
-  procs:int ->
-  plan:Faults.Faultplan.t ->
-  unit ->
-  sharded_fault_run
-
-(** {2 Live resharding under mdtest}
-
-    One mdtest run over a sharded deployment whose shard count changes
-    {e while the file-create phase runs}: a controller process spawned
-    at the file-create barrier executes {!Zk.Reshard.split} (or
-    [merge], when [to_shards < shards]), migrating the bounded-load
-    remainder of directory keys under full write traffic. The first
-    [history_clients] client sessions record through {!Zk.History}
-    (wrapped below the DUFS client, so every routed coordination op the
-    oracle can check is checked across the flip). Census fields carry
-    the same exactness contract as the other sharded runs — sampled at
-    the file-stat barrier {e after} the controller finished.
-    [to_shards = shards] is the exactly-comparable no-split baseline
-    ([reshard = None], [reshard_window = 0]). Not memoized. *)
-
-type reshard_run = {
-  results : Mdtest.Runner.results;
-  router : Zk.Shard_router.t;
-  reshard : Zk.Reshard.stats option;
-      (** controller counters; [None] on the no-split baseline *)
-  reshard_window : float;
-      (** sim-seconds from controller start to completion *)
-  history_recorded : int;
-  history_checked : int;
+  faults_fired : int;           (** plan events that executed *)
+  history : Zk.History.t;
   violations : Zk.History.violation list;
-  per_shard_znodes : int array;
-  live_stubs_at_stat : int;
-  logical_znodes_at_stat : int;
-  expected_logical_znodes : int;
+      (** linearizability verdict over everything recorded ([[]] when
+          nothing was) *)
+  reshard : Zk.Reshard.stats option;  (** [None] without a shard change *)
+  reshard_window : float;  (** sim-seconds, controller start -> done *)
 }
 
-val mdtest_reshard :
-  ?dirs_per_proc:int ->
-  ?files_per_proc:int ->
-  ?max_batch:int ->
-  ?history_clients:int ->
-  spec:dufs_spec ->
-  shards:int ->
-  to_shards:int ->
-  procs:int ->
-  unit ->
-  reshard_run
+val run : run_spec -> run_result
 
 (** {2 Chaos runs — randomized network faults + linearizability oracle}
 
@@ -300,38 +184,20 @@ val chaos_run :
     drained run a probe write proves the service recovered, the
     Wing–Gong checker validates the history, and
     {!Zk.History.durability_audit} compares the leader's recovered tree
-    against it. WAL/recovery counters come from the ensemble's
-    stable-storage introspection. *)
+    against it. The stack is built through {!run} (one shard); WAL and
+    recovery counters are read from its ensemble. *)
 
 type durability_run = {
   d_seed : int64;
   d_label : string;              (** schedule flavor, for reports *)
-  d_results : Mdtest.Runner.results;
-  d_mdtest_errors : int;         (** VFS ops failed during the outage *)
-  d_recorded : int;
-  d_checked : int;
-  d_undetermined : int;
-  d_audited : int;               (** registers the oracle could audit *)
-  d_violations : Zk.History.violation list;  (** linearizability *)
+  d_run : run_result;
+      (** the mdtest run; its history holds the register clients' ops
+          and its [violations] their linearizability verdict *)
   d_durability_violations : Zk.History.violation list;
-  d_digest : string;
   d_recovered : bool;            (** post-outage probe write committed *)
   d_trees_agree : bool;          (** live replicas fingerprint-equal *)
-  d_faults_fired : int;
   d_reg_ok : int;
   d_reg_err : int;
-  d_wal_appended : int;
-  d_wal_replayed : int;
-  d_wal_truncated : int;
-  d_wal_tail_dropped : int;
-  d_snap_loads : int;
-  d_snap_fallbacks : int;
-  d_recoveries : int;
-  d_recovery_time_total : float;
-  d_recovery_time_max : float;
-  d_wal_tail_commits : int;
-  d_transfer_diff_txns : int;
-  d_transfer_snaps : int;
 }
 
 val durability_run :

@@ -15,11 +15,13 @@ let check_bool = Alcotest.(check bool)
 
 (* Build a full DUFS stack on a fresh engine; returns (engine, ensemble,
    backends, ops_for_proc). *)
-let dufs_stack ?(zk_servers = 3) ?(backends = 2) () =
+let dufs_stack ?(zk_servers = 3) ?(backends = 2) ?config ?(trace = Obs.Trace.null)
+    ?overhead () =
   let engine = Engine.create () in
-  let ensemble = Engine.create |> ignore;
-    Zk.Ensemble.start engine (Zk.Ensemble.default_config ~servers:zk_servers)
+  let config =
+    Option.value config ~default:(Zk.Ensemble.default_config ~servers:zk_servers)
   in
+  let ensemble = Zk.Ensemble.start ~trace engine config in
   let mounts =
     Array.init backends (fun _ ->
         Pfs.Lustre_sim.create engine ~config:(Pfs.Lustre_sim.backend_config ()) ())
@@ -44,7 +46,7 @@ let dufs_stack ?(zk_servers = 3) ?(backends = 2) () =
       (Dufs.Client.mount ~coord ~backends:backend_ops
          ~client_id:(Int64.of_int (proc + 1))
          ~clock:(fun () -> Engine.now engine)
-         ~delay:Process.sleep ())
+         ~delay:Process.sleep ?overhead ~trace ())
   in
   (engine, ensemble, mounts, ops_for_proc)
 
@@ -158,6 +160,90 @@ let test_skeleton_shape () =
   let leaves = Workload.leaves_for cfg ~proc:0 in
   check_int "100 leaves" 100 (List.length leaves)
 
+(* {2 The run harness: one shard equals a bare ensemble}
+
+   [Systems.run] always deploys a shard router; a single ensemble is its
+   1-shard case. Against a stack built by hand on a directly started
+   ensemble, the harness must reproduce every observable bit for bit —
+   fault-free and under a leader + quorum-loss schedule. *)
+
+let test_one_shard_run_equals_bare_ensemble () =
+  let procs = 16 and items = 8 in
+  let adjust c =
+    { c with Zk.Ensemble.election_timeout = 0.2; request_timeout = 0.3 }
+  in
+  let cfg =
+    Workload.config ~procs ~dirs_per_proc:items ~files_per_proc:items ()
+  in
+  let direct plan =
+    let trace = Obs.Trace.create () in
+    Obs.Trace.enable trace;
+    let engine, ensemble, _, ops_for_proc =
+      dufs_stack ~trace
+        ~config:(adjust (Systems.zk_config ~servers:3 ~procs ()))
+        ~overhead:(Pfs.Costs.fuse_crossing +. Pfs.Costs.dufs_overhead)
+        ()
+    in
+    let armed = Faults.Faultplan.arm engine ensemble plan in
+    let on_phase p =
+      Faults.Faultplan.notify_phase armed (Runner.phase_to_string p)
+    in
+    let results = Runner.run ~on_phase engine cfg ~ops_for_proc in
+    ( results,
+      Zk.Ensemble.dedup_hits ensemble,
+      Zk.Ensemble.writes_committed ensemble,
+      Faults.Faultplan.fired armed,
+      trace )
+  in
+  let harness plan =
+    let r =
+      Systems.run
+        (Systems.run_spec ~dirs_per_proc:items ~files_per_proc:items
+           ~config_adjust:adjust ~plan ~traced:true
+           (Systems.dufs ~zk_servers:3 ~backends:2 Systems.Lustre)
+           ~procs)
+    in
+    ( r.Systems.results,
+      Zk.Shard_router.dedup_hits r.Systems.router,
+      Zk.Shard_router.writes_committed r.Systems.router,
+      r.Systems.faults_fired,
+      r.Systems.trace )
+  in
+  let quorum_loss =
+    match
+      Faults.Faultplan.parse
+        "crash-leader@file-create+0.02;crash=1@file-create+0.05;\
+         restart-all@file-create+1.0"
+    with
+    | Ok plan -> plan
+    | Error msg -> Alcotest.failf "plan: %s" msg
+  in
+  List.iter
+    (fun (label, plan) ->
+      let d_res, d_dedup, d_writes, d_fired, d_trace = direct plan
+      and h_res, h_dedup, h_writes, h_fired, h_trace = harness plan in
+      let check_floats what = Alcotest.(check (list (float 0.))) (label ^ what) in
+      check_floats ": phase rates"
+        (List.map snd d_res.Runner.rates)
+        (List.map snd h_res.Runner.rates);
+      check_bool (label ^ ": phase latencies") true
+        (d_res.Runner.latencies = h_res.Runner.latencies);
+      check_int (label ^ ": mdtest errors") d_res.Runner.errors h_res.Runner.errors;
+      check_int (label ^ ": dedup hits") d_dedup h_dedup;
+      check_int (label ^ ": writes committed") d_writes h_writes;
+      check_int (label ^ ": faults fired") d_fired h_fired;
+      List.iter
+        (fun span ->
+          Alcotest.(check (option (float 0.)))
+            (label ^ ": " ^ span ^ " mean")
+            (Obs.Trace.span_mean d_trace span)
+            (Obs.Trace.span_mean h_trace span))
+        [ "zk.create.total"; "zk.create.ack" ])
+    [ ("fault-free", []); ("leader-quorum-loss", quorum_loss) ];
+  let _, dedup, _, fired, _ = direct quorum_loss in
+  check_int "the schedule fired every event" 3 fired;
+  check_bool "the schedule forced retried writes" true (dedup > 0)
+
 (* {2 Evaluation shapes at reduced scale} *)
 
 let mdtest_rate system ~procs phase =
@@ -171,7 +257,7 @@ let mdtest_rate system ~procs phase =
 
 let test_dufs_beats_lustre_at_scale () =
   Systems.reset_cache ();
-  let dufs = Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } in
+  let dufs = Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre) in
   let dufs_rate = mdtest_rate dufs ~procs:128 Runner.Dir_create in
   let lustre_rate = mdtest_rate Systems.Basic_lustre ~procs:128 Runner.Dir_create in
   check_bool
@@ -180,7 +266,7 @@ let test_dufs_beats_lustre_at_scale () =
     true (dufs_rate > lustre_rate)
 
 let test_lustre_beats_dufs_at_small_scale () =
-  let dufs = Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Lustre } in
+  let dufs = Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Lustre) in
   let dufs_rate = mdtest_rate dufs ~procs:8 Runner.File_create in
   let lustre_rate = mdtest_rate Systems.Basic_lustre ~procs:8 Runner.File_create in
   check_bool
@@ -189,7 +275,7 @@ let test_lustre_beats_dufs_at_small_scale () =
     true (lustre_rate > dufs_rate)
 
 let test_dufs_dwarfs_pvfs () =
-  let dufs = Systems.Dufs { zk_servers = 8; backends = 2; backend_kind = Systems.Pvfs } in
+  let dufs = Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:2 Systems.Pvfs) in
   let dufs_rate = mdtest_rate dufs ~procs:64 Runner.Dir_create in
   let pvfs_rate = mdtest_rate Systems.Basic_pvfs ~procs:64 Runner.Dir_create in
   check_bool
@@ -198,7 +284,7 @@ let test_dufs_dwarfs_pvfs () =
     (dufs_rate > 5. *. pvfs_rate)
 
 let test_more_zk_servers_help_stats_hurt_creates () =
-  let dufs n = Systems.Dufs { zk_servers = n; backends = 2; backend_kind = Systems.Lustre } in
+  let dufs n = Systems.Dufs (Systems.dufs ~zk_servers:n ~backends:2 Systems.Lustre) in
   let stat1 = mdtest_rate (dufs 1) ~procs:64 Runner.Dir_stat in
   let stat8 = mdtest_rate (dufs 8) ~procs:64 Runner.Dir_stat in
   let create1 = mdtest_rate (dufs 1) ~procs:64 Runner.Dir_create in
@@ -211,7 +297,7 @@ let test_more_zk_servers_help_stats_hurt_creates () =
     true (create8 < create1)
 
 let test_more_backends_help_file_stat () =
-  let dufs n = Systems.Dufs { zk_servers = 8; backends = n; backend_kind = Systems.Lustre } in
+  let dufs n = Systems.Dufs (Systems.dufs ~zk_servers:8 ~backends:n Systems.Lustre) in
   let stat2 = mdtest_rate (dufs 2) ~procs:128 Runner.File_stat in
   let stat4 = mdtest_rate (dufs 4) ~procs:128 Runner.File_stat in
   check_bool
@@ -248,6 +334,9 @@ let () =
             test_unique_working_dirs_mode;
           Alcotest.test_case "latency percentiles sane" `Quick
             test_latency_percentiles_sane ] );
+      ( "harness",
+        [ Alcotest.test_case "one shard equals a bare ensemble" `Quick
+            test_one_shard_run_equals_bare_ensemble ] );
       ( "workload",
         [ Alcotest.test_case "paths deterministic" `Quick
             test_workload_paths_deterministic;
