@@ -848,6 +848,47 @@ let summary_line label (s : Simkit.Stat.Summary.t) =
       (Simkit.Stat.Summary.mean s)
       max
 
+(* One [mdtest-<phase>] point, with its latency block, per phase that
+   recorded samples. *)
+let mdtest_points ~procs ~config results =
+  List.filter_map
+    (fun phase ->
+      Option.map
+        (fun l ->
+          Report.point
+            ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
+            ~procs ~config
+            ~ops_per_sec:(Runner.rate results phase)
+            ~latency:(Report.latency_of_runner l) ())
+        (Runner.latency_of results phase))
+    Runner.all_phases
+
+(* A [zk-<op>-breakdown] point: the mean of each quorum phase of [op]
+   plus the op's total-latency distribution; [None] if no such op was
+   traced. *)
+let breakdown_point ~procs ~config (r : Systems.run_result) op =
+  let trace = r.Systems.trace and wall = r.Systems.results.Runner.wall in
+  Option.map
+    (fun (count, total, phases) ->
+      let total_span = "zk." ^ op ^ ".total" in
+      let q p =
+        Option.value ~default:total (Obs.Trace.span_quantile trace total_span p)
+      in
+      Report.point
+        ~experiment:("zk-" ^ op ^ "-breakdown")
+        ~procs ~config
+        ~ops_per_sec:(if wall > 0. then float_of_int count /. wall else 0.)
+        ~latency:
+          { Report.samples = count;
+            mean_s = total;
+            p50_s = q 0.5;
+            p95_s = q 0.95;
+            p99_s = q 0.99;
+            max_s =
+              Option.value ~default:total (Obs.Trace.span_max trace total_span) }
+        ~phases ())
+    (quorum_breakdown trace op)
+
 let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
   let runs =
     List.map
@@ -939,52 +980,9 @@ let profile ?(procs_list = [ 64; 128; 256 ]) ?json_path () =
     let points =
       List.concat_map
         (fun (procs, (r : Systems.run_result)) ->
-          let client_points =
-            List.filter_map
-              (fun phase ->
-                match Runner.latency_of r.Systems.results phase with
-                | None -> None
-                | Some l ->
-                  Some
-                    (Report.point
-                       ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                       ~procs ~config:profile_config
-                       ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                       ~latency:(Report.latency_of_runner l) ()))
-              Runner.all_phases
-          in
-          let trace = r.Systems.trace in
-          let wall = r.Systems.results.Runner.wall in
-          let breakdown_points =
-            List.filter_map
-              (fun op ->
-                match quorum_breakdown trace op with
-                | None -> None
-                | Some (count, total, phases) ->
-                  let base = "zk." ^ op in
-                  let q p =
-                    Option.value ~default:total
-                      (Obs.Trace.span_quantile trace (base ^ ".total") p)
-                  in
-                  Some
-                    (Report.point
-                       ~experiment:("zk-" ^ op ^ "-breakdown")
-                       ~procs ~config:profile_config
-                       ~ops_per_sec:
-                         (if wall > 0. then float_of_int count /. wall else 0.)
-                       ~latency:
-                         { Report.samples = count;
-                           mean_s = total;
-                           p50_s = q 0.5;
-                           p95_s = q 0.95;
-                           p99_s = q 0.99;
-                           max_s =
-                             Option.value ~default:total
-                               (Obs.Trace.span_max trace (base ^ ".total")) }
-                       ~phases ()))
-              zk_write_ops
-          in
-          client_points @ breakdown_points)
+          let config = profile_config in
+          mdtest_points ~procs ~config r.Systems.results
+          @ List.filter_map (breakdown_point ~procs ~config r) zk_write_ops)
         runs
     in
     Report.emit_json ~path points;
@@ -1159,43 +1157,6 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
       List.concat_map
         (fun ((shards, servers, max_batch, procs), (r : Systems.run_result)) ->
           let config = sharding_config_label ~shards ~servers ~max_batch in
-          let mdtest_points =
-            List.filter_map
-              (fun phase ->
-                match Runner.latency_of r.Systems.results phase with
-                | None -> None
-                | Some l ->
-                  Some
-                    (Report.point
-                       ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                       ~procs ~config
-                       ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                       ~latency:(Report.latency_of_runner l) ()))
-              Runner.all_phases
-          in
-          let breakdown =
-            match quorum_breakdown r.Systems.trace "create" with
-            | None -> []
-            | Some (count, total, phases) ->
-              let wall = r.Systems.results.Runner.wall in
-              let q p =
-                Option.value ~default:total
-                  (Obs.Trace.span_quantile r.Systems.trace "zk.create.total" p)
-              in
-              [ Report.point ~experiment:"zk-create-breakdown" ~procs ~config
-                  ~ops_per_sec:
-                    (if wall > 0. then float_of_int count /. wall else 0.)
-                  ~latency:
-                    { Report.samples = count;
-                      mean_s = total;
-                      p50_s = q 0.5;
-                      p95_s = q 0.95;
-                      p99_s = q 0.99;
-                      max_s =
-                        Option.value ~default:total
-                          (Obs.Trace.span_max r.Systems.trace "zk.create.total") }
-                  ~phases () ]
-          in
           let accounting =
             [ Report.point ~experiment:"sharding-znode-accounting" ~procs
                 ~config:
@@ -1205,7 +1166,9 @@ let sharding ?procs_list ?topologies ?batches ?json_path () =
                 ~ops_per_sec:0.0
                 ~shards:(shard_stats_of r) () ]
           in
-          mdtest_points @ breakdown @ accounting)
+          mdtest_points ~procs ~config r.Systems.results
+          @ Option.to_list (breakdown_point ~procs ~config r "create")
+          @ accounting)
         data
     in
     Report.emit_json ~path points;
@@ -1360,7 +1323,7 @@ let sessions_smoke ?json_path () = Sessions_bench.smoke ?json_path ()
 (* {2 Elastic resharding — live shard split / merge under mdtest}
 
    One controller changes the shard count while the file-create phase
-   runs (Systems.mdtest_reshard). Three configurations per process
+   runs (Systems.run with reshard_to). Three configurations per process
    count: the no-split baseline (to_shards = shards, exactly
    comparable), the live 2->4 split, and — at the smallest process
    count — a 4->2 merge. The driver enforces the run's own invariants
@@ -1448,20 +1411,6 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
       List.concat_map
         (fun ((shards, to_shards, procs), (r : Systems.run_result)) ->
           let config = reshard_config_label ~shards ~to_shards ~max_batch in
-          let mdtest_points =
-            List.filter_map
-              (fun phase ->
-                match Runner.latency_of r.Systems.results phase with
-                | None -> None
-                | Some l ->
-                  Some
-                    (Report.point
-                       ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                       ~procs ~config
-                       ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                       ~latency:(Report.latency_of_runner l) ()))
-              Runner.all_phases
-          in
           let keys_total, keys_migrated, controller_errors =
             match r.Systems.reshard with
             | Some st ->
@@ -1483,7 +1432,7 @@ let reshard ?(procs_list = [ 64; 256 ]) ?(max_batch = 16) ?json_path () =
                 ~ops_per_sec:0.0
                 ~shards:(shard_stats_of r) () ]
           in
-          mdtest_points @ accounting)
+          mdtest_points ~procs ~config r.Systems.results @ accounting)
         runs
     in
     Report.emit_json ~path points;
@@ -1666,57 +1615,12 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
   (match json_path with
    | None -> ()
    | Some path ->
-     let mdtest_points =
+     let run_points =
        List.concat_map
          (fun ((name, procs), (r : Systems.run_result)) ->
            let config = pipeline_config_label name in
-           let client_points =
-             List.filter_map
-               (fun phase ->
-                 match Runner.latency_of r.Systems.results phase with
-                 | None -> None
-                 | Some l ->
-                   Some
-                     (Report.point
-                        ~experiment:("mdtest-" ^ Runner.phase_to_string phase)
-                        ~procs ~config
-                        ~ops_per_sec:(Runner.rate r.Systems.results phase)
-                        ~latency:(Report.latency_of_runner l) ()))
-               Runner.all_phases
-           in
-           let trace = r.Systems.trace in
-           let wall = r.Systems.results.Runner.wall in
-           let breakdown_points =
-             List.filter_map
-               (fun op ->
-                 match quorum_breakdown trace op with
-                 | None -> None
-                 | Some (count, total, phases) ->
-                   let base = "zk." ^ op in
-                   let q p =
-                     Option.value ~default:total
-                       (Obs.Trace.span_quantile trace (base ^ ".total") p)
-                   in
-                   Some
-                     (Report.point
-                        ~experiment:("zk-" ^ op ^ "-breakdown")
-                        ~procs ~config
-                        ~ops_per_sec:
-                          (if wall > 0. then float_of_int count /. wall
-                           else 0.)
-                        ~latency:
-                          { Report.samples = count;
-                            mean_s = total;
-                            p50_s = q 0.5;
-                            p95_s = q 0.95;
-                            p99_s = q 0.99;
-                            max_s =
-                              Option.value ~default:total
-                                (Obs.Trace.span_max trace (base ^ ".total")) }
-                        ~phases ()))
-               zk_write_ops
-           in
-           client_points @ breakdown_points)
+           mdtest_points ~procs ~config r.Systems.results
+           @ List.filter_map (breakdown_point ~procs ~config r) zk_write_ops)
          runs
      in
      let chaos_points =
@@ -1758,7 +1662,7 @@ let pipeline ?(procs_list = [ 64; 128; 256 ])
              ("deterministic", if deterministic then 1. else 0.) ]
          ()
      in
-     let points = mdtest_points @ chaos_points @ [ summary ] in
+     let points = run_points @ chaos_points @ [ summary ] in
      Report.emit_json ~path points;
      Printf.printf "\nwrote %s (%d bench points)\n%!" path
        (List.length points));

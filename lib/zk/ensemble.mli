@@ -50,9 +50,6 @@ type config = {
           the follower fan-out once for the whole batch, while every txn
           keeps its own zxid, result and reply. [1] (the default) is the
           classic one-txn-per-round ZAB pipeline. *)
-  batch_delay : float;
-      (** seconds the leader waits for stragglers when a drained batch is
-          still short of [max_batch]; [0.] (the default) never waits. *)
   seed : int64;
       (** seeds the ensemble's network and the per-session retry-jitter
           streams; identical seeds reproduce identical schedules *)
@@ -95,11 +92,17 @@ type config = {
           lands), piggybacks the commit frontier on later proposals and
           replies instead of separate Commit rounds while the pipeline
           is busy, and coalesces queued writes into open batches (up to
-          [max_batch]) for exactly as long as the window is full —
-          [batch_delay] is never slept. Commits still apply strictly in
-          zxid order. [1] (the default) is the classic stop-and-wait
-          leader, bit-for-bit: no proposer process is spawned and every
-          event fires exactly as without the pipeline. *)
+          [max_batch]) for exactly as long as the window is full.
+          Commits still apply strictly in zxid order. [1] (the default)
+          is the inline leader the benches call "stop-and-wait", though
+          it never waits for acks: its main loop pays leader CPU and
+          persist, then the follower fan-out CPU, for each batch, sends
+          the proposal and moves on, so any number of proposals can be
+          in flight. What it serializes is leader CPU and persist, on
+          the loop that also receives the acks. No proposer process is
+          spawned. The proposer at a window of 1 is not the same
+          schedule — it really waits a round trip per batch (DESIGN.md
+          §11). *)
   snapshot_every : int;
       (** snapshot cadence of the stable-storage model: each replica
           serializes its tree into {!Zk.Wal} storage every
