@@ -313,10 +313,11 @@ let mdtest ?(dirs_per_proc = 60) ?(files_per_proc = 60) ?(unique = false) system
 
 type reg_op = Create | Set | Delete | Get | Exists | Seq_create of string
 
-(* [mix] is a cumulative percentage table: the first entry whose bound
-   exceeds a uniform draw in [0, 100) is the op. *)
-let register_client ~router ~hist ~client ~rng ~think ~mix ~reg ~more ~ok
-    ~err =
+(* Each op targets register [reg_dir k ^ "/r"] for a uniform [k] below
+   [registers]; [mix] is a cumulative percentage table: the first entry
+   whose bound exceeds a uniform draw in [0, 100) is the op. *)
+let register_client ~router ~hist ~client ~rng ~think ~reg_dir ~registers ~mix
+    ~more ~ok ~err =
   let session () =
     Zk.History.wrap hist ~client (Zk.Shard_router.session router ())
   in
@@ -329,7 +330,7 @@ let register_client ~router ~hist ~client ~rng ~think ~mix ~reg ~more ~ok
   (* let the setup commits land before the first register op *)
   Process.sleep (0.2 +. Simkit.Rng.exponential rng ~mean:think);
   while more () do
-    let reg = reg () in
+    let reg = reg_dir (Simkit.Rng.int rng registers) ^ "/r" in
     let x = Simkit.Rng.int rng 100 in
     let outcome =
       match snd (List.find (fun (bound, _) -> x < bound) mix) with
@@ -469,8 +470,8 @@ let chaos_run ?(servers = 5) ?(shards = 1) ?(clients = 8) ?(registers = 6)
       Simkit.Rng.create ~seed:(Int64.add seed (Int64.of_int ((i + 1) * 7919)))
     in
     Process.spawn engine (fun () ->
-        register_client ~router ~hist ~client:i ~rng ~think ~mix:chaos_mix
-          ~reg:(fun () -> chaos_reg_dir (Simkit.Rng.int rng registers) ^ "/r")
+        register_client ~router ~hist ~client:i ~rng ~think
+          ~reg_dir:chaos_reg_dir ~registers ~mix:chaos_mix
           ~more:(fun () -> Engine.now engine < stop)
           ~ok:ops_ok ~err:ops_err)
   done;
@@ -571,8 +572,7 @@ let durability_run ?(servers = 5) ?(procs = 64) ?(reg_clients = 8)
       let left = ref ops_per_client in
       Process.spawn engine (fun () ->
           register_client ~router ~hist ~client:i ~rng ~think
-            ~mix:durability_mix
-            ~reg:(fun () -> dur_reg_dir (Simkit.Rng.int rng registers) ^ "/r")
+            ~reg_dir:dur_reg_dir ~registers ~mix:durability_mix
             ~more:(fun () ->
               decr left;
               !left >= 0)
