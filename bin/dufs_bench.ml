@@ -103,11 +103,16 @@ let experiment =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
 
+(* A broken gate is a result, not a crash: print what failed and exit 1
+   rather than let cmdliner report an internal error. *)
 let run name =
   match List.find_opt (fun (n, _, _) -> n = name) experiments with
-  | Some (_, _, f) ->
-    f ();
-    `Ok ()
+  | Some (_, _, f) -> (
+    match f () with
+    | () -> `Ok 0
+    | exception (Failure msg | Invalid_argument msg) ->
+      Printf.eprintf "dufs_bench %s: FAILED: %s\n%!" name msg;
+      `Ok 1)
   | None ->
     `Error
       (false,
@@ -129,4 +134,4 @@ let cmd =
     (Cmd.info "dufs_bench" ~doc ~man)
     Term.(ret (const run $ experiment))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

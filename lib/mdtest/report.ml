@@ -30,6 +30,17 @@ let print_figure ~title ~x_label ?(unit_label = "ops/sec") series =
 
 let print_ratio ~label v = Printf.printf "  %-58s %8.2fx\n%!" label v
 
+(* {2 Gates} *)
+
+let fact ok fmt = Printf.ksprintf (fun msg -> if ok then [] else [ msg ]) fmt
+
+let enforce ~experiment = function
+  | [] -> Printf.printf "\n  check: every %s gate holds — OK\n%!" experiment
+  | failures ->
+    List.iter (Printf.printf "  CHECK FAIL: %s\n") failures;
+    flush stdout;
+    failwith (experiment ^ ": " ^ String.concat "; " failures)
+
 (* {2 Machine-readable bench points} *)
 
 type latency_stats = {

@@ -16,6 +16,21 @@ val print_ratio : label:string -> float -> unit
 
 val print_header : string -> unit
 
+(** {2 Gates}
+
+    Each benchmark driver states the facts its run must satisfy as a
+    list of failure messages and hands it to {!enforce}, after writing
+    its JSON so a failed run still leaves its artifact. *)
+
+(** [fact ok fmt ...] is [[]] when [ok] holds, else the one-message
+    list formatted from [fmt]. *)
+val fact : bool -> ('a, unit, string, string list) format4 -> 'a
+
+(** [enforce ~experiment failures] prints one [check: … OK] line when
+    [failures] is empty; otherwise it prints every failure and raises
+    [Failure] with all of them joined, prefixed by [experiment]. *)
+val enforce : experiment:string -> string list -> unit
+
 (** {2 Machine-readable bench points}
 
     The stable cross-PR schema for benchmark output files

@@ -3,6 +3,7 @@ module Process = Simkit.Process
 module Mailbox = Simkit.Mailbox
 module Net = Simkit.Net
 module Rng = Simkit.Rng
+module Report = Mdtest.Report
 
 type result = {
   mix : string;
@@ -157,7 +158,15 @@ let bechamel_ns_per_run ~quota_s ~name run =
   if Float.is_finite !estimate then !estimate
   else failwith (Printf.sprintf "Engine_bench: no OLS estimate for %s" name)
 
-let run_data ?(events = 1_000_000) ?(quota_s = 2.0) () =
+let default_events = 1_000_000
+
+(* Wall-clock floor per mix. Dev-machine smoke numbers are 2.3-3.9M
+   events/sec per mix; a shared CI runner gets an order of magnitude of
+   slack before this trips, so a failure means a real regression, not
+   noise. *)
+let min_events_per_sec = 250_000.
+
+let run_data ?(events = default_events) ?(quota_s = 2.0) () =
   List.map
     (fun (name, actors, mix) ->
       (* replay gate: the digest must survive a re-run before we bother
@@ -181,9 +190,22 @@ let run_data ?(events = 1_000_000) ?(quota_s = 2.0) () =
         minor_words_per_event = minor_words })
     (mixes ~events)
 
-let run ?events ?quota_s ?json_path () =
-  Mdtest.Report.print_header "Engine throughput: wall-clock events/sec per mix";
-  let results = run_data ?events ?quota_s () in
+let point_of r =
+  Report.point
+    ~experiment:("engine-" ^ r.mix)
+    ~procs:r.actors
+    ~config:(Printf.sprintf "events=%d|queue=calendar+fifo" r.events_executed)
+    ~ops_per_sec:r.events_per_sec
+    ~phases:
+      [ ("events_executed", float_of_int r.events_executed);
+        ("ns_per_event", r.ns_per_event);
+        ("virtual_s", r.virtual_s);
+        ("minor_words_per_event", r.minor_words_per_event) ]
+    ()
+
+let run ?(events = default_events) ?quota_s ?json_path () =
+  Report.print_header "Engine throughput: wall-clock events/sec per mix";
+  let results = run_data ~events ?quota_s () in
   Printf.printf "  %-10s %8s %12s %12s %14s %10s\n" "mix" "actors" "events"
     "ns/event" "events/sec" "words/ev";
   List.iter
@@ -193,25 +215,20 @@ let run ?events ?quota_s ?json_path () =
         r.minor_words_per_event)
     results;
   flush stdout;
-  match json_path with
-  | None -> ()
-  | Some path ->
-    let points =
-      List.map
-        (fun r ->
-          Mdtest.Report.point
-            ~experiment:("engine-" ^ r.mix)
-            ~procs:r.actors
-            ~config:
-              (Printf.sprintf "events=%d|queue=calendar+fifo" r.events_executed)
-            ~ops_per_sec:r.events_per_sec
-            ~phases:
-              [ ("events_executed", float_of_int r.events_executed);
-                ("ns_per_event", r.ns_per_event);
-                ("virtual_s", r.virtual_s);
-                ("minor_words_per_event", r.minor_words_per_event) ]
-            ())
-        results
-    in
-    Mdtest.Report.emit_json ~path points;
-    Printf.printf "  wrote %s\n%!" path
+  Option.iter
+    (fun path ->
+      Report.emit_json ~path (List.map point_of results);
+      Printf.printf "  wrote %s\n%!" path)
+    json_path;
+  Report.enforce ~experiment:"engine"
+    (List.concat_map
+       (fun r ->
+         Report.fact
+           (r.events_per_sec >= min_events_per_sec)
+           "engine-%s: %.0f events/sec below floor %.0f" r.mix r.events_per_sec
+           min_events_per_sec
+         @ Report.fact
+             (r.events_executed >= events)
+             "engine-%s: %d events executed, fewer than the %d requested" r.mix
+             r.events_executed events)
+       results)

@@ -45,5 +45,8 @@ val run_data : ?events:int -> ?quota_s:float -> unit -> result list
     BENCH_pr6.json artifact: one [engine-<mix>] point per mix whose
     [ops_per_sec] is wall-clock events/sec and whose [phases] block
     carries [events_executed], [ns_per_event], [virtual_s] and
-    [minor_words_per_event]. *)
+    [minor_words_per_event].
+    @raise Failure, after writing the JSON, if any mix runs below a
+    fixed floor of 250 000 events per wall-clock second or executes
+    fewer events than [events] requested. *)
 val run : ?events:int -> ?quota_s:float -> ?json_path:string -> unit -> unit

@@ -108,6 +108,14 @@ val faults_data : unit -> (string * Systems.run_result) list
     (the BENCH_pr2.json artifact). *)
 val faults : ?json_path:string -> unit -> unit
 
+(** The quorum-phase breakdown gate shared by {!profile} and
+    {!pipeline}: the failures (each prefixed by [what]) of one traced
+    write kind whose mean phase durations [phases] should tile its mean
+    latency [total] — every phase finite and [>= 0], and their sum
+    within 5% of [total]. [[]] when the breakdown is honest. *)
+val breakdown_failures :
+  what:string -> total:float -> (string * float) list -> string list
+
 (** The DUFS stack every profile run traces: 2 Lustre back-ends, 8
     coordination servers. *)
 val profile_spec : Systems.dufs_spec
@@ -121,8 +129,9 @@ val profile_spec : Systems.dufs_spec
     wait-vs-service split. With [json_path], also writes the points (the
     BENCH_pr3.json artifact): mdtest points carry the latency block,
     [zk-<op>-breakdown] points carry the phase durations.
-    @raise Failure if any op's phase sum diverges more than 5% from its
-    measured mean latency. *)
+    @raise Failure, after writing the JSON, if any traced write kind's
+    breakdown fails {!breakdown_failures} or any emitted latency block
+    has no sample. *)
 val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
 
 (** {2 Sharded coordination — N independent ZAB leaders}
@@ -138,7 +147,9 @@ val profile : ?procs_list:int list -> ?json_path:string -> unit -> unit
     [zk-create-breakdown] points with phase durations, and
     [sharding-znode-accounting] points whose [shards] block records the
     per-shard balance ([expected_logical] and [live_stubs] ride in the
-    config string for external validation). *)
+    config string). Fails, after writing the JSON, if any run's logical
+    census is inexact, any shard committed no write, or any emitted
+    latency block has no sample. *)
 
 val sharding_data :
   ?procs_list:int list ->
@@ -171,9 +182,10 @@ val sharding :
     counters in the [phases] block; [recovery_s = -1] means the run
     never recovered) plus a [chaos-summary] point with totals and
     recovery percentiles.
-    @raise Failure on any linearizability violation, on a run that
-    never recovers after the closing heal, or if the re-run digest
-    differs (the run is then not seed-deterministic). *)
+    @raise Failure, after writing the JSON, on any linearizability
+    violation, a run whose checker saw no op, a run that never recovers
+    after the closing heal, or a re-run digest that differs (the run is
+    then not seed-deterministic). *)
 val chaos :
   ?runs:(int * int64) list ->
   ?clients:int ->
@@ -187,7 +199,8 @@ val chaos :
 
 (** The CI variant: 2 fixed schedules (1-shard and 4-shard) at 64
     client processes over a shorter window — the BENCH_pr5_smoke.json
-    artifact. Same failure conditions as {!chaos}. *)
+    artifact. Enforces the gates of {!chaos}: per schedule 0 violations,
+    a non-empty checked history and a recovery; a bit-identical re-run. *)
 val chaos_smoke : ?json_path:string -> unit -> unit
 
 (** {2 Engine throughput — wall-clock events/sec of the simulator core}
@@ -195,7 +208,9 @@ val chaos_smoke : ?json_path:string -> unit -> unit
     Delegates to {!Engine_bench.run}: three seeded mixes (timer-heavy,
     mailbox-heavy, net-fault-heavy) of ~[events] engine events each,
     timed with bechamel and replay-gated. With [json_path] writes the
-    BENCH_pr6.json artifact. *)
+    BENCH_pr6.json artifact, then fails if a mix runs below 250 000
+    events per wall-clock second or executes fewer events than
+    requested. *)
 val engine :
   ?events:int -> ?quota_s:float -> ?json_path:string -> unit -> unit
 
@@ -205,11 +220,15 @@ val engine :
     coherence over mdtest-stat and readdir-storm read sweeps with a
     mid-sweep writer, observer read scaling, and the server-state
     accounting (watch tables vs lease tables). With [json_path] writes
-    the BENCH_pr7.json artifact. *)
+    the BENCH_pr7.json artifact, then enforces each case's gates (see
+    {!Sessions_bench.run}). *)
 val sessions : ?json_path:string -> unit -> unit
 
 (** The CI variant: 1k sessions, both coherence modes — the
-    BENCH_pr7_smoke.json artifact. *)
+    BENCH_pr7_smoke.json artifact. Enforces per case: the exact znode
+    census, 0 violations over a non-empty history; lease mode 0 watches
+    and one lease per session, watch mode at least one watch per session
+    and no lease. *)
 val sessions_smoke : ?json_path:string -> unit -> unit
 
 (** {2 Elastic resharding — live shard split/merge under mdtest}
@@ -218,15 +237,17 @@ val sessions_smoke : ?json_path:string -> unit -> unit
     2->4 split fired at the file-create barrier, and (at the smallest
     process count) a 4->2 merge — all through
     {!Systems.run} with [reshard_to] set, with the linearizability oracle on a
-    slice of the client sessions. Fails if any run reports client
-    errors, an inexact logical census, oracle violations, or a
-    migration that is not a proper bounded-load remainder. With
-    [json_path] writes the BENCH_pr8.json artifact. *)
+    slice of the client sessions. With [json_path] writes the
+    BENCH_pr8.json artifact, then fails if any run reports client or
+    controller errors, an inexact logical census, oracle violations or
+    an empty checked history, or if a split/merge migrates no key or
+    more than 90% of them, has an empty migration window, or pushes
+    the file-create p99 above 12x the same-procs 2->2 baseline's. *)
 val reshard :
   ?procs_list:int list -> ?max_batch:int -> ?json_path:string -> unit -> unit
 
-(** The CI variant: 64 processes only — the BENCH_pr8_smoke.json
-    artifact. Same failure conditions as {!reshard}. *)
+(** The CI variant: 64 processes only (2->2, 2->4, 4->2) — the
+    BENCH_pr8_smoke.json artifact, under every gate of {!reshard}. *)
 val reshard_smoke : ?json_path:string -> unit -> unit
 
 (** {2 Write pipeline — windowed ZAB proposals vs stop-and-wait}
@@ -243,11 +264,11 @@ val reshard_smoke : ?json_path:string -> unit -> unit
     schedule, and a [pipeline-summary] point carrying the
     queue-wait + ack improvement of the pipelined configuration over
     the window = 1 baseline at the largest scale.
-    @raise Failure if any phase is non-finite or negative, any op's
-    phase sum diverges more than 5% from its measured mean latency, the
+    @raise Failure, after writing the JSON, if any breakdown fails
+    {!breakdown_failures}, any emitted latency block has no sample, the
     improvement falls short of [min_improvement] percent (default 30),
-    any chaos schedule reports a violation or fails to recover, or the
-    re-run schedule's digest differs. *)
+    any chaos schedule reports a violation, checks no op or fails to
+    recover, or the re-run schedule's digest differs. *)
 val pipeline :
   ?procs_list:int list ->
   ?chaos_runs:(int * int64) list ->
@@ -257,7 +278,8 @@ val pipeline :
   unit
 
 (** The CI variant: 64 processes, 2 chaos schedules, 10% improvement
-    floor — the BENCH_pr9_smoke.json artifact. *)
+    floor — the BENCH_pr9_smoke.json artifact; every other gate of
+    {!pipeline} applies unchanged. *)
 val pipeline_smoke : ?json_path:string -> unit -> unit
 
 (** {2 Durability — power failures and storage corruption over mdtest}
@@ -271,9 +293,10 @@ val pipeline_smoke : ?json_path:string -> unit -> unit
     schedule (WAL/snapshot/recovery counters in [phases], dotted
     [wal.*]/[snap.*]/[recovery.*]/[transfer.*] keys) plus a
     [durability-summary] point.
-    @raise Failure if any schedule fails to recover, recovered replicas
-    disagree, any linearizability or durability-oracle violation is
-    found, the torn/bit-rot schedules truncate nothing, leader
+    @raise Failure, after writing the JSON, if any schedule fails to
+    recover, recovered replicas disagree, any linearizability or
+    durability-oracle violation is found, the oracle audits no register,
+    the torn/bit-rot schedules truncate nothing, leader
     diff-syncs ship at least as many transactions as local WAL replay
     recovered, or the re-run digest differs. *)
 val durability :
@@ -288,8 +311,8 @@ val durability :
   unit
 
 (** The CI variant: 4 schedules (power-failure, torn-tail, WAL bit-rot,
-    snapshot-rot) at 16 processes — the BENCH_pr10_smoke.json artifact.
-    Same failure conditions as {!durability}. *)
+    snapshot-rot) at 16 processes — the BENCH_pr10_smoke.json artifact,
+    under every gate of {!durability}. *)
 val durability_smoke : ?json_path:string -> unit -> unit
 
 (** Run everything (the full bench suite). *)

@@ -31,6 +31,7 @@ let coherence_name = function Watches -> "watches" | Leases -> "leases"
    every case so the accounting gate can pin the exact count. *)
 let n_dirs = 512
 let n_files = 16
+let expected_znodes = 1 + n_dirs + (n_dirs * n_files)
 
 (* Client-side CPU per cache-served op: without it a warm pass takes
    zero virtual time and "ops/sec" is a division by zero. 1 us is the
@@ -273,6 +274,35 @@ let print_case (r : case_result) =
     r.readdir.cold_s r.readdir.warm_s r.watch_table_total r.lease_entries_total
     r.violations
 
+(* One case's own facts: the exact namespace census, a clean non-empty
+   history, and the server-state shape of its coherence mode — lease
+   mode keeps one lease per session (one working directory each) and
+   arms no watch at all; watch mode must actually carry per-znode state
+   (at least one watch per session, no lease), or the comparison is
+   vacuous. *)
+let case_failures (r : case_result) =
+  let fact = Report.fact in
+  let what = Printf.sprintf "sessions %s/%d" (coherence_name r.mode) r.sessions in
+  fact (r.znodes = expected_znodes) "%s: %d znodes, expected %d" what r.znodes
+    expected_znodes
+  @ fact (r.violations = 0) "%s: %d history violations" what r.violations
+  @ fact (r.history_checked > 0) "%s: empty history, the checker saw nothing"
+      what
+  @
+  match r.mode with
+  | Leases ->
+    fact (r.watch_table_total = 0) "%s: lease mode armed %d watches" what
+      r.watch_table_total
+    @ fact (r.lease_entries_total = r.sessions)
+        "%s: %d lease entries, expected one per session (%d)" what
+        r.lease_entries_total r.sessions
+  | Watches ->
+    fact (r.watch_table_total >= r.sessions)
+      "%s: watch mode armed only %d watches for %d sessions" what
+      r.watch_table_total r.sessions
+    @ fact (r.lease_entries_total = 0) "%s: watch mode granted %d leases" what
+        r.lease_entries_total
+
 let default_cases =
   (* lease coherence scaling with session count (observers fixed) ... *)
   [ (1_000, 2, Leases);
@@ -305,6 +335,7 @@ let run ?(cases = default_cases) ?json_path () =
    | Some path ->
      Report.emit_json ~path (List.concat_map points_of results);
      Printf.printf "  wrote %s\n%!" path);
+  Report.enforce ~experiment:"sessions" (List.concat_map case_failures results);
   results
 
 let smoke ?json_path () = ignore (run ~cases:smoke_cases ?json_path ())

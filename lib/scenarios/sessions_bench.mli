@@ -45,10 +45,16 @@ val run_case :
 
 (** [run ?cases ?json_path ()] — each case is
     [(sessions, observers, coherence)]; two {!Mdtest.Report.bench_point}s
-    (stat, readdir) per case land in [json_path]. *)
+    (stat, readdir) per case land in [json_path].
+    @raise Failure, after writing the JSON, unless every case holds
+    exactly [1 + 512 + 512 × 16] znodes, records a non-empty history with
+    no violation, and shows its mode's server state: lease mode 0
+    watches and one lease entry per session; watch mode at least one
+    watch per session and no lease entry. *)
 val run :
   ?cases:(int * int * coherence) list -> ?json_path:string -> unit ->
   case_result list
 
-(** The CI case list: 1k sessions in both coherence modes. *)
+(** The CI case list: 1k sessions in both coherence modes, under the
+    same gates as {!run}. *)
 val smoke : ?json_path:string -> unit -> unit

@@ -321,6 +321,20 @@ let test_fig11_memory_shapes () =
       (slope_per_million > 330. && slope_per_million < 510.)
   | _ -> Alcotest.fail "expected two rows"
 
+(* {2 The quorum-phase breakdown gate} *)
+
+let test_breakdown_check () =
+  let failures phases =
+    Scenarios.Figures.breakdown_failures ~what:"zk.create" ~total:1.0 phases
+  in
+  Alcotest.(check (list string)) "exact tiling accepted" []
+    (failures [ ("queue-wait", 0.5); ("propose", 0.2); ("ack", 0.3) ]);
+  List.iter
+    (fun (label, phases) -> check_bool label true (failures phases <> []))
+    [ ("phase sum 6% off", [ ("queue-wait", 0.56); ("propose", 0.2); ("ack", 0.3) ]);
+      ("negative phase", [ ("queue-wait", 0.9); ("propose", -0.2); ("ack", 0.3) ]);
+      ("NaN phase", [ ("queue-wait", 0.7); ("propose", Float.nan); ("ack", 0.3) ]) ]
+
 let () =
   Alcotest.run "integration"
     [ ( "full-stack",
@@ -351,4 +365,6 @@ let () =
           Alcotest.test_case "backends help file stat" `Slow
             test_more_backends_help_file_stat ] );
       ( "memory",
-        [ Alcotest.test_case "fig11 shapes" `Quick test_fig11_memory_shapes ] ) ]
+        [ Alcotest.test_case "fig11 shapes" `Quick test_fig11_memory_shapes ] );
+      ( "gates",
+        [ Alcotest.test_case "breakdown check" `Quick test_breakdown_check ] ) ]

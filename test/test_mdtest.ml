@@ -157,6 +157,21 @@ let test_report_series_shape () =
   Report.print_ratio ~label:"some ratio" 1.5;
   Report.print_header "done"
 
+(* {2 Gates} *)
+
+let test_enforce_silent_without_failures () =
+  (* no failure, no exception: the one OK line goes to stdout *)
+  Report.enforce ~experiment:"clean" [];
+  Report.enforce ~experiment:"clean" (Report.fact true "never reported")
+
+let test_enforce_raises_with_every_failure () =
+  Alcotest.check_raises "every failed fact, none that held"
+    (Failure "demo: first fact broke; second fact broke (2)") (fun () ->
+      Report.enforce ~experiment:"demo"
+        (Report.fact false "first fact broke"
+         @ Report.fact true "held"
+         @ Report.fact false "second fact broke (%d)" 2))
+
 let () =
   Alcotest.run "mdtest-harness"
     [ ( "closed-loop",
@@ -174,4 +189,8 @@ let () =
           Alcotest.test_case "unique mode isolates" `Quick
             test_unique_mode_isolates_procs ] );
       ( "report",
-        [ Alcotest.test_case "series shape" `Quick test_report_series_shape ] ) ]
+        [ Alcotest.test_case "series shape" `Quick test_report_series_shape;
+          Alcotest.test_case "enforce silent without failures" `Quick
+            test_enforce_silent_without_failures;
+          Alcotest.test_case "enforce raises with every failure" `Quick
+            test_enforce_raises_with_every_failure ] ) ]
