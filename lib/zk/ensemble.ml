@@ -61,28 +61,12 @@ let default_config ~servers =
 
 type reply = (Txn.result_item list, Zerror.t) result -> unit
 
-(* Session-scoped request id (ZooKeeper's session id + client xid): the
-   client stamps every write once and reuses the stamp across timeout
-   retries, so the leader can recognize a resubmission of a transaction
-   it already committed and return the original result instead of
-   applying it twice. *)
-type rid = {
-  rsession : int64;
-  rcxid : int64;
-}
-
-(* A committed entry carries [close_of = Some owner] when it is the
-   cleanup transaction of a Close_session: every replica that applies it
-   also evicts that session's dedup entries (the session can never retry
-   again, so keeping its results would grow leader state without bound). *)
-type entry = int64 * Txn.t * float * rid * int64 option
+type rid = Wal.rid
 
 type role = Leader | Follower | Observer | Down
 
 type pending_write = {
-  p_txn : Txn.t;
-  p_time : float;
-  p_rid : rid;
+  p_entry : Wal.entry;
   (* a timed-out retry of a still-in-flight write re-points the reply
      (and its route home) at the retry's continuation *)
   mutable p_origin : int;
@@ -100,7 +84,6 @@ type pending_write = {
      so the leader's vote only counts once the overlapped persist
      completes. *)
   mutable p_self_acked : bool;
-  p_close : int64 option;
   p_span : Obs.Trace.wspan;
 }
 
@@ -113,7 +96,7 @@ type applied_result = (Txn.result_item list, Zerror.t) result
    is busy ahead of it and not a tick longer. Entry and span lists are
    kept reversed (append at head) and reversed once at fan-out. *)
 type pbatch = {
-  mutable b_entries : entry list;        (* reversed *)
+  mutable b_entries : Wal.entry list;    (* reversed *)
   mutable b_spans : Obs.Trace.wspan list; (* reversed, parallel to b_entries *)
   mutable b_cpu : float;                 (* summed leader CPU for the batch *)
   mutable b_count : int;
@@ -137,7 +120,7 @@ type msg =
   | Release of { exec : server -> unit }
     (* fire-and-forget cancellation of a still-armed fire-once watch
        (failed fill, cache eviction): no reply, best-effort on faults *)
-  | Propose_batch of { epoch : int; entries : entry list; committed_upto : int64 }
+  | Propose_batch of { epoch : int; entries : Wal.entry list; committed_upto : int64 }
     (* one leader->follower round carries a whole group-committed batch;
        a singleton batch is exactly the classic per-txn PROPOSAL.
        [committed_upto] piggybacks the leader's commit frontier (every
@@ -147,7 +130,7 @@ type msg =
        leaving the standalone Commit_batch in charge there. *)
   | Ack_batch of { epoch : int; zxids : int64 list; from : int }
   | Commit_batch of { epoch : int; zxids : int64 list }
-  | Inform_batch of { epoch : int; entries : entry list }
+  | Inform_batch of { epoch : int; entries : Wal.entry list }
     (* ZAB INFORM: commit + payload, sent to non-voting observers *)
   | Deliver_reply of {
       epoch : int;
@@ -172,15 +155,14 @@ type msg =
        commit; the leader answers with the missing entries (as a
        Propose_batch) followed by the commit marks it already holds.
        Observers use the same message and are answered with an
-       Inform_batch of the committed range instead. *)
+       Inform_batch of the committed range instead. A range reaching
+       below the leader's pruned log is answered with a SNAP. *)
 
 and server = {
   id : int;
   mutable role : role;
   mutable epoch : int;
   mutable tree : Ztree.t;
-  log : (int64, Txn.t * float * rid * int64 option) Hashtbl.t
-    (* committed txns, by zxid *);
   (* request id -> (zxid, result) of every txn this replica has applied:
      the dedup table behind exactly-once writes. Replicated implicitly —
      each replica records entries as it applies the same committed
@@ -208,7 +190,7 @@ and server = {
   mutable persist_until : float;
   mutable proposer_wake : unit Simkit.Process.waiter option;
   (* follower state *)
-  proposals : (int64, Txn.t * float * rid * int64 option) Hashtbl.t;
+  proposals : (int64, Wal.entry) Hashtbl.t;
   committed : (int64, unit) Hashtbl.t;
   (* highest zxid this follower knows committed via a piggybacked
      frontier (0L = none this epoch); zxids <= it apply without an
@@ -225,9 +207,10 @@ and server = {
   (* session-level lease interests this replica granted on its reads;
      lost (cleared) when the server crashes — the TTL covers that hole *)
   leases : Lease.t;
-  (* stable storage: what this server's disk holds at any instant.
-     [crash] materializes its power-off truth; [restart] rebuilds the
-     tree, committed log and dedup table from it. *)
+  (* stable storage: what this server's disk holds at any instant, and
+     its only log of committed txns ([committed_entry]). [crash]
+     materializes its power-off truth; [restart] rebuilds the tree and
+     the dedup table from it. *)
   wal : Wal.t;
   (* readable-but-uncommitted WAL suffix found by local recovery: kept
      only while parked leaderless after a whole-cluster power failure
@@ -471,7 +454,7 @@ let evict_session_applied t (s : server) ~keep owner =
   let victims =
     Hashtbl.fold
       (fun rid _ acc ->
-        if rid.rsession = owner && rid <> keep then rid :: acc else acc)
+        if rid.Wal.rsession = owner && rid <> keep then rid :: acc else acc)
       s.applied []
   in
   List.iter (fun rid -> Hashtbl.remove s.applied rid) victims;
@@ -498,6 +481,14 @@ let apply_txn (s : server) ~zxid ~time txn =
    | Error _ -> ());
   result
 
+(* Apply a committed entry on a replica and record its result in the
+   dedup table. *)
+let apply_entry t (s : server) (e : Wal.entry) =
+  let zxid = e.Wal.e_zxid and rid = e.Wal.e_rid in
+  Hashtbl.replace s.applied rid
+    (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
+  note_close_applied t s ~rid e.Wal.e_close
+
 (* {2 Stable-storage hooks}
 
    Everything that reaches a server's WAL goes through these helpers.
@@ -505,15 +496,25 @@ let apply_txn (s : server) ~zxid ~time txn =
    wiring them into the hot paths leaves fault-free schedules
    bit-identical. *)
 
-let wal_entry ~zxid ~txn ~time ~(rid : rid) ~close : Wal.entry =
-  { Wal.e_zxid = zxid; e_txn = txn; e_time = time;
-    e_rsession = rid.rsession; e_rcxid = rid.rcxid; e_close = close }
-
 (* Append at a persist point; [start]/[done_at] bracket the device
    write so a power-off inside the window loses or tears the record. *)
-let wal_append (s : server) ~start ~done_at ~zxid ~txn ~time ~rid ~close =
-  Wal.append s.wal ~epoch:s.epoch ~start ~done_at
-    (wal_entry ~zxid ~txn ~time ~rid ~close)
+let wal_append (s : server) ~start ~done_at entry =
+  Wal.append s.wal ~epoch:s.epoch ~start ~done_at entry
+
+(* Append unless this epoch already logged [zxid]: a re-proposal, a
+   repeated inform or a diff-sync of a txn the disk holds is a no-op. *)
+let wal_append_once (s : server) ~start ~done_at (e : Wal.entry) =
+  match Wal.epoch_at s.wal e.Wal.e_zxid with
+  | Some logged when logged = s.epoch -> ()
+  | _ -> wal_append s ~start ~done_at e
+
+(* The one lookup of committed history: the WAL record at [zxid] once
+   the apply marker has passed it. [None] at or below the marker means
+   the record is gone (pruned below the older snapshot, superseded by
+   an installed snapshot, or cut at recovery), and whoever needs that
+   history must be sent a SNAP instead. *)
+let committed_entry (s : server) zxid =
+  if zxid <= Wal.frontier s.wal then Wal.entry_at s.wal zxid else None
 
 (* Mark [zxid] durably applied and roll a snapshot once the replay
    distance exceeds the configured cadence. Snapshot writing is modeled
@@ -587,23 +588,23 @@ let try_commit t (s : server) =
       let results =
         List.map
           (fun (zxid, pw) ->
+            let e = pw.p_entry in
             (* each txn applies individually: a failing txn returns its
                error to its own caller without touching its batch
                neighbours (and does not consume the zxid in the tree) *)
             let result =
               if Ztree.last_zxid s.tree < zxid then
-                apply_txn s ~zxid ~time:pw.p_time pw.p_txn
+                apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn
               else
                 (* already applied (state transfer raced ahead): answer
                    from the dedup table rather than re-applying *)
-                match Hashtbl.find_opt s.applied pw.p_rid with
+                match Hashtbl.find_opt s.applied e.Wal.e_rid with
                 | Some (_, result) -> result
                 | None -> Ok []
             in
-            Hashtbl.replace s.applied pw.p_rid (zxid, result);
-            Hashtbl.remove s.pending_rids pw.p_rid;
-            Hashtbl.replace s.log zxid (pw.p_txn, pw.p_time, pw.p_rid, pw.p_close);
-            note_close_applied t s ~rid:pw.p_rid pw.p_close;
+            Hashtbl.replace s.applied e.Wal.e_rid (zxid, result);
+            Hashtbl.remove s.pending_rids e.Wal.e_rid;
+            note_close_applied t s ~rid:e.Wal.e_rid e.Wal.e_close;
             wal_applied t s zxid;
             t.commits <- t.commits + 1;
             (zxid, pw, result))
@@ -627,11 +628,7 @@ let try_commit t (s : server) =
       (match t.observer_peers with
        | [] -> ()
        | observers ->
-         let entries =
-           List.map
-             (fun (zxid, pw, _) -> (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close))
-             results
-         in
+         let entries = List.map (fun (_, pw, _) -> pw.p_entry) results in
          List.iter
            (fun (peer : server) ->
              send t ~src:s.id ~dst:peer.id (Inform_batch { epoch = s.epoch; entries }))
@@ -741,9 +738,7 @@ let dedup_filter t (s : server) batch =
                 (fun (peer : server) ->
                   send t ~src:s.id ~dst:peer.id
                     (Propose_batch
-                       { epoch = s.epoch;
-                         entries =
-                           [ (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) ];
+                       { epoch = s.epoch; entries = [ pw.p_entry ];
                          committed_upto = 0L }))
                 t.follower_peers;
               false
@@ -774,13 +769,11 @@ let repropose_stalled_head t (s : server) =
   | Some pw
     when Engine.now t.engine -. pw.p_proposed_at > t.cfg.request_timeout ->
     pw.p_proposed_at <- Engine.now t.engine;
-    let entries =
-      [ (s.next_commit, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) ]
-    in
     List.iter
       (fun (peer : server) ->
         send t ~src:s.id ~dst:peer.id
-          (Propose_batch { epoch = s.epoch; entries; committed_upto = 0L }))
+          (Propose_batch
+             { epoch = s.epoch; entries = [ pw.p_entry ]; committed_upto = 0L }))
       t.follower_peers
   | _ -> ()
 
@@ -809,9 +802,9 @@ let repropose_stalled t (s : server) =
     | stalled ->
       let entries =
         List.map
-          (fun (zxid, pw) ->
+          (fun (_, pw) ->
             pw.p_proposed_at <- now;
-            (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close))
+            pw.p_entry)
           stalled
       in
       List.iter
@@ -838,40 +831,57 @@ let refuse_fast t (s : server) ~origin ~reply =
      write doubles as a repair attempt. *)
   repropose_stalled t s
 
+(* {2 Leader admission}
+
+   Both write paths admit a drained batch through the helpers below;
+   only their timing skeletons differ (DESIGN.md §11). *)
+
+(* Record a gauge untagged always (single-ensemble profiles read it),
+   plus per shard under [zk.<tag>.*] so a sharded deployment's balance
+   shows. Pure accumulator writes: the traced run sleeps exactly as long
+   as the untraced one. *)
+let observe t name v =
+  Obs.Trace.observe t.trace ("zk." ^ name) v;
+  if t.tag <> "" then Obs.Trace.observe t.trace ("zk." ^ t.tag ^ "." ^ name) v
+
+(* Stamp the batch start on each traced write and record its queue
+   wait, measured where the backlog lives: client send -> leader batch
+   start. [persist] is the persist share of the batch sleep. *)
+let stamp_batch_start t ~time ~persist batch =
+  List.iter
+    (fun (_, _, _, _, span, _) ->
+      if Obs.Trace.is_real span then begin
+        observe t "queue_wait" (time -. span.Obs.Trace.w_sent);
+        span.Obs.Trace.w_batch <- time;
+        span.Obs.Trace.w_persist <- persist
+      end)
+    batch
+
+(* Give one drained request the next zxid and make it pending: the
+   entry is the txn record every later step carries. *)
+let admit (s : server) ~time ~self_acked (txn, rid, origin, reply, span, close)
+    =
+  let zxid = s.next_zxid in
+  s.next_zxid <- Int64.add zxid 1L;
+  let entry =
+    { Wal.e_zxid = zxid; e_txn = txn; e_time = time; e_rid = rid;
+      e_close = close }
+  in
+  Hashtbl.replace s.pending zxid
+    { p_entry = entry; p_origin = origin; p_reply = reply; p_acked = [];
+      p_proposed_at = time; p_self_acked = self_acked; p_span = span };
+  Hashtbl.replace s.pending_rids rid zxid;
+  entry
+
 let leader_handle_batch t (s : server) batch =
   match dedup_filter t s batch with
   | [] -> ()
   | batch ->
     let time = Engine.now t.engine in
-    (* Stamping and gauge observations are pure accumulator writes: the
-       traced run sleeps exactly as long as the untraced one. *)
     (if Obs.Trace.enabled t.trace then begin
-       let depth = float_of_int (Mailbox.length s.inbox)
-       and size = float_of_int (List.length batch) in
-       Obs.Trace.observe t.trace "zk.leader.queue_depth" depth;
-       Obs.Trace.observe t.trace "zk.leader.batch_size" size;
-       if t.tag <> "" then begin
-         Obs.Trace.observe t.trace ("zk." ^ t.tag ^ ".leader.queue_depth") depth;
-         Obs.Trace.observe t.trace ("zk." ^ t.tag ^ ".leader.batch_size") size
-       end;
-       let persist_dur = svc t t.cfg.persist in
-       List.iter
-         (fun (_, _, _, _, span, _) ->
-           if Obs.Trace.is_real span then begin
-             (* queue wait, measured where the backlog lives: client
-                send -> leader batch start. Recorded untagged always
-                (single-ensemble profiles read this), plus per-shard
-                under the tag so a sharded deployment's balance shows. *)
-             Obs.Trace.observe t.trace "zk.queue_wait"
-               (time -. span.Obs.Trace.w_sent);
-             if t.tag <> "" then
-               Obs.Trace.observe t.trace
-                 ("zk." ^ t.tag ^ ".queue_wait")
-                 (time -. span.Obs.Trace.w_sent);
-             span.Obs.Trace.w_batch <- time;
-             span.Obs.Trace.w_persist <- persist_dur
-           end)
-         batch
+       observe t "leader.queue_depth" (float_of_int (Mailbox.length s.inbox));
+       observe t "leader.batch_size" (float_of_int (List.length batch));
+       stamp_batch_start t ~time ~persist:(svc t t.cfg.persist) batch
      end);
     let cpu =
       List.fold_left
@@ -889,18 +899,12 @@ let leader_handle_batch t (s : server) batch =
       let persisted_at = Engine.now t.engine in
       let entries =
         List.map
-          (fun (txn, rid, origin, reply, span, close) ->
-            let zxid = s.next_zxid in
-            s.next_zxid <- Int64.add zxid 1L;
-            Hashtbl.replace s.pending zxid
-              { p_txn = txn; p_time = time; p_rid = rid; p_origin = origin;
-                p_reply = reply; p_acked = []; p_proposed_at = time;
-                p_self_acked = true (* persist already paid above *);
-                p_close = close; p_span = span };
-            Hashtbl.replace s.pending_rids rid zxid;
-            wal_append s ~start:time ~done_at:persisted_at ~zxid ~txn ~time
-              ~rid ~close;
-            (zxid, txn, time, rid, close))
+          (fun req ->
+            (* the persist was already paid above, so the leader's own
+               vote counts at once *)
+            let e = admit s ~time ~self_acked:true req in
+            wal_append s ~start:time ~done_at:persisted_at e;
+            e)
           batch
       in
       let followers = t.follower_peers in
@@ -943,37 +947,17 @@ let leader_enqueue_batch t (s : server) batch =
   | batch ->
     let time = Engine.now t.engine in
     (if Obs.Trace.enabled t.trace then begin
-       let depth = float_of_int (Mailbox.length s.inbox) in
-       Obs.Trace.observe t.trace "zk.leader.queue_depth" depth;
-       if t.tag <> "" then
-         Obs.Trace.observe t.trace ("zk." ^ t.tag ^ ".leader.queue_depth") depth;
-       List.iter
-         (fun (_, _, _, _, span, _) ->
-           if Obs.Trace.is_real span then begin
-             Obs.Trace.observe t.trace "zk.queue_wait"
-               (time -. span.Obs.Trace.w_sent);
-             if t.tag <> "" then
-               Obs.Trace.observe t.trace
-                 ("zk." ^ t.tag ^ ".queue_wait")
-                 (time -. span.Obs.Trace.w_sent);
-             (* [w_persist] stays 0: the overlapped persist is off the
-                critical path — its residual cost surfaces inside the
-                ack phase, so the five phases still tile the latency *)
-             span.Obs.Trace.w_batch <- time
-           end)
-         batch
+       observe t "leader.queue_depth" (float_of_int (Mailbox.length s.inbox));
+       (* [w_persist] stays 0: the overlapped persist is off the
+          critical path — its residual cost surfaces inside the ack
+          phase, so the five phases still tile the latency *)
+       stamp_batch_start t ~time ~persist:0. batch
      end);
     List.iter
-      (fun (txn, rid, origin, reply, span, close) ->
-        let zxid = s.next_zxid in
-        s.next_zxid <- Int64.add zxid 1L;
-        Hashtbl.replace s.pending zxid
-          { p_txn = txn; p_time = time; p_rid = rid; p_origin = origin;
-            p_reply = reply; p_acked = []; p_proposed_at = time;
-            p_self_acked = false (* counts only after the overlapped persist *);
-            p_close = close; p_span = span };
-        Hashtbl.replace s.pending_rids rid zxid;
-        let entry = (zxid, txn, time, rid, close) in
+      (fun ((txn, _, _, _, span, _) as req) ->
+        (* the leader's vote counts only after the overlapped persist *)
+        let entry = admit s ~time ~self_acked:false req in
+        let zxid = entry.Wal.e_zxid in
         let cpu = leader_service t txn in
         (* Queue exposes no tail peek; fold to it — the queue is at most
            a few batches deep (window + backlog) *)
@@ -1017,11 +1001,7 @@ let rec proposer_loop t (s : server) =
          let committed_upto = Int64.sub s.next_commit 1L in
          (if Obs.Trace.enabled t.trace then begin
             let now = Engine.now t.engine in
-            let size = float_of_int b.b_count in
-            Obs.Trace.observe t.trace "zk.leader.batch_size" size;
-            if t.tag <> "" then
-              Obs.Trace.observe t.trace
-                ("zk." ^ t.tag ^ ".leader.batch_size") size;
+            observe t "leader.batch_size" (float_of_int b.b_count);
             List.iter
               (fun (span : Obs.Trace.wspan) ->
                 if Obs.Trace.is_real span then span.Obs.Trace.w_proposed <- now)
@@ -1046,11 +1026,8 @@ let rec proposer_loop t (s : server) =
          (* the WAL records the overlapped window: a crash before
             [done_at] loses these appends even though the batch was
             already proposed (and possibly acked by followers) *)
-         List.iter
-           (fun (zxid, txn, time, rid, close) ->
-             wal_append s ~start:now ~done_at ~zxid ~txn ~time ~rid ~close)
-           entries;
-         let zxids = List.map (fun (z, _, _, _, _) -> z) entries in
+         List.iter (wal_append s ~start:now ~done_at) entries;
+         let zxids = List.map (fun (e : Wal.entry) -> e.Wal.e_zxid) entries in
          Engine.schedule t.engine ~delay:(done_at -. now) (fun () ->
              if s.role = Leader && s.epoch = epoch0 then begin
                List.iter
@@ -1078,16 +1055,12 @@ let rec follower_apply_ready t (s : server) =
   then
     match Hashtbl.find_opt s.proposals s.next_apply with
     | None -> ()  (* proposal not yet received (cleared by election) *)
-    | Some (txn, time, rid, close) ->
+    | Some e ->
       let zxid = s.next_apply in
       Hashtbl.remove s.committed zxid;
       Hashtbl.remove s.proposals zxid;
       s.next_apply <- Int64.add zxid 1L;
-      if Ztree.last_zxid s.tree < zxid then begin
-        Hashtbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
-        note_close_applied t s ~rid close
-      end;
-      Hashtbl.replace s.log zxid (txn, time, rid, close);
+      if Ztree.last_zxid s.tree < zxid then apply_entry t s e;
       wal_applied t s zxid;
       follower_apply_ready t s
 
@@ -1098,21 +1071,16 @@ let rec follower_apply_ready t (s : server) =
 let rec observer_apply_ready t (s : server) =
   match Hashtbl.find_opt s.proposals s.next_apply with
   | None -> ()
-  | Some (txn, time, rid, close) ->
+  | Some e ->
     let zxid = s.next_apply in
     Hashtbl.remove s.proposals zxid;
     s.next_apply <- Int64.add zxid 1L;
     if Ztree.last_zxid s.tree < zxid then begin
-      Hashtbl.replace s.applied rid (zxid, apply_txn s ~zxid ~time txn);
-      note_close_applied t s ~rid close;
-      Hashtbl.replace s.log zxid (txn, time, rid, close);
+      apply_entry t s e;
       (* observers have no ack round: the inform itself doubles as the
          txn-log append (already committed, so it lands at the frontier) *)
-      (match Wal.epoch_at s.wal zxid with
-       | Some e when e = s.epoch -> ()
-       | _ ->
-         let now = Engine.now t.engine in
-         wal_append s ~start:now ~done_at:now ~zxid ~txn ~time ~rid ~close);
+      let now = Engine.now t.engine in
+      wal_append_once s ~start:now ~done_at:now e;
       wal_applied t s zxid
     end;
     observer_apply_ready t s
@@ -1160,6 +1128,107 @@ let advance_frontier t (s : server) ~epoch frontier =
     end
     else s.commit_frontier <- Int64.max s.commit_frontier frontier
   end
+
+(* {2 State transfer}
+
+   How far behind a returning follower may be before the leader ships a
+   whole snapshot instead of replaying the log suffix txn by txn —
+   mirroring ZooKeeper's SNAP vs DIFF follower synchronization. *)
+let snapshot_transfer_threshold = 512L
+
+(* Whether [s]'s log still holds every committed entry in [lo, hi]. *)
+let history_covers (s : server) lo hi =
+  let rec go z =
+    z > hi || (committed_entry s z <> None && go (Int64.add z 1L))
+  in
+  go lo
+
+let state_transfer t ~from ~target =
+  let src = t.members.(from) and dst = t.members.(target) in
+  let now = Engine.now t.engine in
+  let src_z = Ztree.last_zxid src.tree and dst_z = Ztree.last_zxid dst.tree in
+  let gap = Int64.sub src_z dst_z in
+  (* A live leader resyncing this server overrules any readable-but-
+     uncommitted WAL tail local recovery was holding for a possible
+     recovery election. *)
+  dst.recovered_tail <- [];
+  dst.disk_synced <- false;
+  (* Two situations force a SNAP regardless of the gap size:
+     - divergence: [dst] is ahead of [src]'s tree, or what [dst]'s disk
+       holds at its own last zxid differs from committed history — a
+       server that replayed an uncommitted suffix from a dead epoch.
+       Its state must be overwritten wholesale (ZooKeeper's TRUNC,
+       folded into SNAP here: [Wal.install_snapshot] discards the local
+       log).
+     - missing history: [src]'s WAL no longer holds all of
+       (dst_z, src_z] — pruned below its older snapshot, or never
+       logged because [src] itself was last synced by a SNAP or
+       recovered from a snapshot — so a DIFF would silently skip
+       transactions. *)
+  let diverged =
+    dst_z > src_z
+    || (dst_z > 0L
+        &&
+        match committed_entry src dst_z with
+        | Some e -> (
+          match Wal.entry_at dst.wal dst_z with
+          | Some d -> d.Wal.e_txn <> e.Wal.e_txn
+          | None -> false (* snapshot-covered prefix: consistent *))
+        | None ->
+          (* unknown at src: fine if committed long ago (src pruned it),
+             divergent if it is beyond src's committed frontier *)
+          dst_z > Wal.frontier src.wal)
+  in
+  if gap > snapshot_transfer_threshold || diverged
+     || not (history_covers src (Int64.add dst_z 1L) src_z)
+  then begin
+    let payload = Ztree.serialize src.tree in
+    match Ztree.deserialize payload with
+    | Ok tree ->
+      (* swapping in the snapshot must not orphan the watches armed on
+         the old tree: still-connected sessions (e.g. client caches)
+         rely on them for invalidation. Unchanged watches re-arm on the
+         new tree; watches whose node changed during the gap fire the
+         missed event now. *)
+      let stale = dst.tree in
+      dst.tree <- tree;
+      Ztree.migrate_watches ~from:stale ~into:tree;
+      Hashtbl.reset dst.applied;
+      Hashtbl.iter
+        (fun rid result -> Hashtbl.replace dst.applied rid result)
+        src.applied;
+      t.transfer_snaps <- t.transfer_snaps + 1;
+      (* write-through: the installed snapshot supersedes dst's whole
+         local log (TRUNC + SNAP) *)
+      Wal.install_snapshot dst.wal ~zxid:src_z ~epoch:dst.epoch payload
+    | Error msg ->
+      (* a snapshot failure must not lose the replica: fall back to replay *)
+      ignore msg
+  end;
+  let zxid = ref (Int64.add (Ztree.last_zxid dst.tree) 1L) in
+  while !zxid <= Ztree.last_zxid src.tree do
+    (match committed_entry src !zxid with
+     | Some e ->
+       apply_entry t dst e;
+       t.transfer_diff_txns <- t.transfer_diff_txns + 1;
+       (* write-through: a diff-synced txn lands on dst's disk too *)
+       wal_append_once dst ~start:now ~done_at:now e;
+       wal_applied t dst !zxid
+     | None -> ());
+    zxid := Int64.add !zxid 1L
+  done;
+  (* the apply cursor restarts from the new tree: buffered proposals
+     and commit marks it covers are dead, held replies it covers go *)
+  dst.next_apply <- Int64.add (Ztree.last_zxid dst.tree) 1L;
+  let drop_covered tbl =
+    Hashtbl.filter_map_inplace
+      (fun zxid v -> if zxid < dst.next_apply then None else Some v)
+      tbl
+  in
+  drop_covered dst.proposals;
+  drop_covered dst.committed;
+  flush_deferred dst;
+  dst.fresh_at <- Engine.now t.engine
 
 (* A leader takes a write off its inbox: drain a group-commit batch
    behind it and hand that to the active write path. *)
@@ -1223,18 +1292,14 @@ let handle t (s : server) msg =
         let persisted_at = Engine.now t.engine in
         s.fresh_at <- persisted_at;
         List.iter
-          (fun (zxid, txn, time, rid, close) ->
-            Hashtbl.replace s.proposals zxid (txn, time, rid, close);
+          (fun (e : Wal.entry) ->
+            Hashtbl.replace s.proposals e.Wal.e_zxid e;
             (* log the proposal before acking (ZAB's accept-then-ack);
                re-proposals already logged this epoch are not re-appended
                — the re-ack is idempotent and so is the disk *)
-            match Wal.epoch_at s.wal zxid with
-            | Some e when e = epoch -> ()
-            | _ ->
-              wal_append s ~start:issued_at ~done_at:persisted_at ~zxid ~txn
-                ~time ~rid ~close)
+            wal_append_once s ~start:issued_at ~done_at:persisted_at e)
           entries;
-        let zxids = List.map (fun (zxid, _, _, _, _) -> zxid) entries in
+        let zxids = List.map (fun (e : Wal.entry) -> e.Wal.e_zxid) entries in
         send t ~src:s.id ~dst:t.leader (Ack_batch { epoch; zxids; from = s.id });
         (* A lossy link can strand an earlier proposal: if every
            follower missed that batch, it never gathers a quorum, and
@@ -1310,14 +1375,14 @@ let handle t (s : server) msg =
            an observer that skipped the gap would diverge silently and
            keep serving reads from the wrong tree. *)
         List.iter
-          (fun (zxid, txn, time, rid, close) ->
-            if zxid >= s.next_apply then
-              Hashtbl.replace s.proposals zxid (txn, time, rid, close))
+          (fun (e : Wal.entry) ->
+            if e.Wal.e_zxid >= s.next_apply then
+              Hashtbl.replace s.proposals e.Wal.e_zxid e)
           entries;
         observer_apply_ready t s;
         let hi =
           List.fold_left
-            (fun acc (zxid, _, _, _, _) -> Int64.max acc zxid)
+            (fun acc (e : Wal.entry) -> Int64.max acc e.Wal.e_zxid)
             0L entries
         in
         if s.next_apply <= hi then
@@ -1336,17 +1401,34 @@ let handle t (s : server) msg =
       Process.sleep (svc t t.cfg.rpc_cpu);
       if s.role = Leader && epoch = s.epoch then begin
         let upto = Int64.min upto (Int64.sub s.next_zxid 1L) in
+        (* Committed history the requester still lacks but this log no
+           longer holds (pruned at a snapshot) can only be sent as a
+           SNAP; the entries beyond the snapshot follow as usual. The
+           check starts at the requester's own apply cursor, so repeated
+           Fetches of the same gap trigger one SNAP, not one each. *)
+        let dst = t.members.(who) in
+        let from_zxid =
+          if
+            dst.role = Down
+            || history_covers s
+                 (Int64.max from_zxid dst.next_apply)
+                 (Int64.min upto (Ztree.last_zxid s.tree))
+          then from_zxid
+          else begin
+            state_transfer t ~from:s.id ~target:who;
+            dst.next_apply
+          end
+        in
         let entries = ref [] and commits = ref [] in
         let z = ref upto in
         while !z >= from_zxid do
-          (match Hashtbl.find_opt s.log !z with
-           | Some (txn, time, rid, close) ->
-             entries := (!z, txn, time, rid, close) :: !entries;
+          (match committed_entry s !z with
+           | Some e ->
+             entries := e :: !entries;
              commits := !z :: !commits
            | None -> (
              match Hashtbl.find_opt s.pending !z with
-             | Some pw ->
-               entries := (!z, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close) :: !entries
+             | Some pw -> entries := pw.p_entry :: !entries
              | None -> ()));
           z := Int64.sub !z 1L
         done;
@@ -1354,8 +1436,9 @@ let handle t (s : server) msg =
           (* observers only ever see committed state: answer with the
              committed entries of the range as an Inform_batch (the
              pending tail is not committed and must not reach them) *)
+          let frontier = Wal.frontier s.wal in
           let committed =
-            List.filter (fun (zxid, _, _, _, _) -> List.mem zxid !commits) !entries
+            List.filter (fun (e : Wal.entry) -> e.Wal.e_zxid <= frontier) !entries
           in
           if committed <> [] then
             send t ~src:s.id ~dst:who (Inform_batch { epoch; entries = committed })
@@ -1405,7 +1488,6 @@ let make_server ~now ~lease_ttl id =
     role = Follower;
     epoch = 0;
     tree = Ztree.create ();
-    log = Hashtbl.create 1024;
     applied = Hashtbl.create 1024;
     inbox = Mailbox.create ();
     pending = Hashtbl.create 64;
@@ -1481,104 +1563,6 @@ let start ?(trace = Obs.Trace.null) ?(tag = "") engine cfg =
   t
 
 (* {2 Failure injection} *)
-
-(* How far behind a returning follower may be before the leader ships a
-   whole snapshot instead of replaying the log suffix txn by txn —
-   mirroring ZooKeeper's SNAP vs DIFF follower synchronization. *)
-let snapshot_transfer_threshold = 512L
-
-let state_transfer t ~from ~target =
-  let src = t.members.(from) and dst = t.members.(target) in
-  let now = Engine.now t.engine in
-  let src_z = Ztree.last_zxid src.tree and dst_z = Ztree.last_zxid dst.tree in
-  let gap = Int64.sub src_z dst_z in
-  (* A live leader resyncing this server overrules any readable-but-
-     uncommitted WAL tail local recovery was holding for a possible
-     recovery election. *)
-  dst.recovered_tail <- [];
-  dst.disk_synced <- false;
-  (* Two situations force a SNAP regardless of the gap size:
-     - divergence: [dst] is ahead of [src]'s tree, or what [dst]'s disk
-       holds at its own last zxid differs from committed history — a
-       server that replayed an uncommitted suffix from a dead epoch.
-       Its state must be overwritten wholesale (ZooKeeper's TRUNC,
-       folded into SNAP here: [Wal.install_snapshot] discards the local
-       log).
-     - missing history: [src]'s in-memory log no longer covers all of
-       (dst_z, src_z] because the leader itself recovered from a
-       snapshot and only holds its replay suffix — a DIFF would
-       silently skip transactions. *)
-  let diverged =
-    dst_z > src_z
-    || (dst_z > 0L
-        &&
-        match Hashtbl.find_opt src.log dst_z with
-        | Some (txn, _, _, _) -> (
-          match Wal.entry_at dst.wal dst_z with
-          | Some e -> e.Wal.e_txn <> txn
-          | None -> false (* snapshot-covered prefix: consistent *))
-        | None ->
-          (* unknown at src: fine if committed long ago (src pruned it),
-             divergent if it is beyond src's committed frontier *)
-          dst_z > Wal.frontier src.wal)
-  in
-  let missing_history () =
-    let missing = ref false in
-    let z = ref (Int64.add dst_z 1L) in
-    while (not !missing) && !z <= src_z do
-      if not (Hashtbl.mem src.log !z) then missing := true;
-      z := Int64.add !z 1L
-    done;
-    !missing
-  in
-  if gap > snapshot_transfer_threshold || diverged
-     || (gap > 0L && missing_history ())
-  then begin
-    let payload = Ztree.serialize src.tree in
-    match Ztree.deserialize payload with
-    | Ok tree ->
-      (* swapping in the snapshot must not orphan the watches armed on
-         the old tree: still-connected sessions (e.g. client caches)
-         rely on them for invalidation. Unchanged watches re-arm on the
-         new tree; watches whose node changed during the gap fire the
-         missed event now. *)
-      let stale = dst.tree in
-      dst.tree <- tree;
-      Ztree.migrate_watches ~from:stale ~into:tree;
-      Hashtbl.reset dst.log;
-      Hashtbl.iter (fun zxid entry -> Hashtbl.replace dst.log zxid entry) src.log;
-      Hashtbl.reset dst.applied;
-      Hashtbl.iter
-        (fun rid result -> Hashtbl.replace dst.applied rid result)
-        src.applied;
-      t.transfer_snaps <- t.transfer_snaps + 1;
-      (* write-through: the installed snapshot supersedes dst's whole
-         local log (TRUNC + SNAP) *)
-      Wal.install_snapshot dst.wal ~zxid:src_z ~epoch:dst.epoch payload
-    | Error msg ->
-      (* a snapshot failure must not lose the replica: fall back to replay *)
-      ignore msg
-  end;
-  let zxid = ref (Int64.add (Ztree.last_zxid dst.tree) 1L) in
-  while !zxid <= Ztree.last_zxid src.tree do
-    (match Hashtbl.find_opt src.log !zxid with
-     | Some (txn, time, rid, close) ->
-       Hashtbl.replace dst.applied rid
-         (!zxid, apply_txn dst ~zxid:!zxid ~time txn);
-       note_close_applied t dst ~rid close;
-       Hashtbl.replace dst.log !zxid (txn, time, rid, close);
-       t.transfer_diff_txns <- t.transfer_diff_txns + 1;
-       (* write-through: a diff-synced txn lands on dst's disk too *)
-       (match Wal.epoch_at dst.wal !zxid with
-        | Some e when e = dst.epoch -> ()
-        | _ ->
-          wal_append dst ~start:now ~done_at:now ~zxid:!zxid ~txn ~time ~rid
-            ~close);
-       wal_applied t dst !zxid
-     | None -> ());
-    zxid := Int64.add !zxid 1L
-  done;
-  dst.fresh_at <- Engine.now t.engine
 
 (* Crown [new_leader] under [epoch]: reset epoch-relative state on every
    live member, resync them from the leader, restart zxid numbering. *)
@@ -1659,15 +1643,8 @@ let elect t =
 let commit_recovered_tail t (s : server) =
   List.iter
     (fun (e : Wal.entry) ->
-      let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
-      let zxid = e.Wal.e_zxid in
-      if Ztree.last_zxid s.tree < zxid then begin
-        Hashtbl.replace s.applied rid
-          (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
-        note_close_applied t s ~rid e.Wal.e_close
-      end;
-      Hashtbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close);
-      wal_applied t s zxid;
+      if Ztree.last_zxid s.tree < e.Wal.e_zxid then apply_entry t s e;
+      wal_applied t s e.Wal.e_zxid;
       t.wal_tail_commits <- t.wal_tail_commits + 1)
     s.recovered_tail;
   s.recovered_tail <- []
@@ -1712,8 +1689,8 @@ let recovery_elect t =
     in
     crown t new_leader ~epoch
 
-(* Local crash recovery: rebuild the tree, the committed log and the
-   dedup table from stable storage — newest valid snapshot, then the
+(* Local crash recovery: rebuild the tree and the dedup table from
+   stable storage — newest valid snapshot, then the
    contiguous committed WAL suffix. RAM state from before the crash is
    discarded wholesale; only armed watches migrate (still-connected
    sessions rely on them for invalidation). The modeled recovery time
@@ -1733,18 +1710,10 @@ let recover_local t (s : server) =
     | None -> Ztree.create ()
   in
   s.tree <- tree;
-  Hashtbl.reset s.log;
   Hashtbl.reset s.applied;
   List.iter
     (fun (e : Wal.entry) ->
-      let rid = { rsession = e.Wal.e_rsession; rcxid = e.Wal.e_rcxid } in
-      let zxid = e.Wal.e_zxid in
-      if Ztree.last_zxid s.tree < zxid then begin
-        Hashtbl.replace s.applied rid
-          (zxid, apply_txn s ~zxid ~time:e.Wal.e_time e.Wal.e_txn);
-        note_close_applied t s ~rid e.Wal.e_close
-      end;
-      Hashtbl.replace s.log zxid (e.Wal.e_txn, e.Wal.e_time, rid, e.Wal.e_close))
+      if Ztree.last_zxid s.tree < e.Wal.e_zxid then apply_entry t s e)
     r.Wal.rc_replay;
   (* watches migrate only once the tree is fully rebuilt: comparing
      against the half-replayed tree would fire spurious events for
@@ -1814,19 +1783,12 @@ let restart t id =
          stalled during a quorum outage can reach quorum and commit.
          Observers do not vote, so they are not re-proposed to. *)
       if not (is_observer_id t id) then begin
-        let stalled =
-          Hashtbl.fold (fun zxid pw acc -> (zxid, pw) :: acc) leader.pending []
+        let entries =
+          List.sort
+            (fun (a : Wal.entry) b -> Int64.compare a.Wal.e_zxid b.Wal.e_zxid)
+            (Hashtbl.fold (fun _ pw acc -> pw.p_entry :: acc) leader.pending [])
         in
-        match
-          List.sort (fun (a, _) (b, _) -> Int64.compare a b) stalled
-        with
-        | [] -> ()
-        | stalled ->
-          let entries =
-            List.map
-              (fun (zxid, pw) -> (zxid, pw.p_txn, pw.p_time, pw.p_rid, pw.p_close))
-              stalled
-          in
+        if entries <> [] then
           send t ~src:t.leader ~dst:id
             (Propose_batch
                { epoch = leader.epoch; entries; committed_upto = 0L })
@@ -2005,7 +1967,7 @@ let session t ?server () =
   let fresh_rid () =
     let cxid = !next_cxid in
     next_cxid := Int64.add cxid 1L;
-    { rsession = session_id; rcxid = cxid }
+    { Wal.rsession = session_id; rcxid = cxid }
   in
   (* Session-expiry detection: a session whose every request has failed
      for [session_timeout] seconds straight is declared expired — its

@@ -108,8 +108,9 @@ type config = {
           serializes its tree into {!Zk.Wal} storage every
           [snapshot_every] applied transactions (keeping the newest two
           snapshots and pruning the log below the older one), bounding
-          both WAL replay length and log growth on recovery. [<= 0]
-          disables snapshots: recovery replays the whole log. *)
+          WAL replay length and each member's retained history: a peer
+          behind the leader's pruned prefix is re-synced by SNAP.
+          [<= 0] disables snapshots: recovery replays the whole log. *)
 }
 
 val default_config : servers:int -> config
@@ -153,7 +154,8 @@ val crash : t -> int -> unit
 (** [restart t id] brings a crashed server back as a follower. It first
     recovers locally from stable storage — newest valid snapshot, WAL
     suffix replay, truncating at the first bad checksum — then
-    diff-syncs only the genuinely missing remainder from a live leader.
+    diff-syncs only the genuinely missing remainder from a live leader
+    (a SNAP when that remainder reaches below the leader's pruned log).
     With no live leader, the riser parks until a quorum of voters is
     back, at which point a ZAB-style recovery election over durable
     (epoch, zxid) log ends crowns a leader and commits its readable

@@ -32,12 +32,16 @@
    applied prefix exactly), the epoch stamp, and records installed by a
    leader state transfer. *)
 
+type rid = {
+  rsession : int64;
+  rcxid : int64;
+}
+
 type entry = {
   e_zxid : int64;
   e_txn : Txn.t;
   e_time : float;
-  e_rsession : int64;
-  e_rcxid : int64;
+  e_rid : rid;
   e_close : int64 option;
 }
 
@@ -128,7 +132,7 @@ let encode ~epoch (e : entry) =
   Buffer.add_string b
     (Printf.sprintf "W1 %d %Ld %Lx %Ld %Ld %s %d\n" epoch e.e_zxid
        (Int64.bits_of_float e.e_time)
-       e.e_rsession e.e_rcxid
+       e.e_rid.rsession e.e_rid.rcxid
        (match e.e_close with None -> "-" | Some o -> Int64.to_string o)
        (List.length e.e_txn));
   List.iter (enc_op b) e.e_txn;

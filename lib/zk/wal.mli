@@ -15,15 +15,25 @@
 
 type t
 
-(** One logged transaction, exactly the tuple the replication protocol
-    carries: enough to rebuild the tree, the committed log and the
-    exactly-once dedup table on replay. *)
+(** Session-scoped request id (ZooKeeper's session id + client xid),
+    stamped once per write and reused across timeout retries: the key
+    of the exactly-once dedup table, so a retry of a committed txn gets
+    its original result instead of a second apply. *)
+type rid = {
+  rsession : int64;
+  rcxid : int64;
+}
+
+(** One transaction, the only txn record from the leader's pending
+    table through proposals and informs to the log: enough to rebuild
+    the tree and the dedup table on replay. [e_close = Some owner]
+    marks a closed session's cleanup txn, whose apply evicts that
+    session's dedup entries. *)
 type entry = {
   e_zxid : int64;
   e_txn : Txn.t;
   e_time : float;
-  e_rsession : int64;
-  e_rcxid : int64;
+  e_rid : rid;
   e_close : int64 option;
 }
 
@@ -49,7 +59,13 @@ val frontier : t -> int64
 val epoch : t -> int
 
 (** Latest record (if any) logged for [zxid] — recovery keeps only the
-    newest per zxid (an epoch change overwrites a stale suffix). *)
+    newest per zxid (an epoch change overwrites a stale suffix). At or
+    below [frontier] this is the member's only copy of committed
+    history; [None] there means pruned below the older snapshot,
+    superseded by an installed snapshot, or cut at recovery. The entry
+    served is the in-memory copy kept beside the record's bytes, so a
+    torn or rotten record is still served: bad checksums are detected
+    only by [recover]. *)
 val entry_at : t -> int64 -> entry option
 
 (** Epoch under which the latest record for [zxid] was logged. *)
@@ -112,7 +128,7 @@ type recovered = {
   rc_snap_zxid : int64;
   rc_replay : entry list;
       (** committed records in (snapshot, frontier], ascending and
-          contiguous — rebuilds tree, log and dedup table *)
+          contiguous — rebuilds tree and dedup table *)
   rc_tail : entry list;
       (** readable records beyond the frontier: persisted but not known
           committed. Discarded when a live leader resyncs the server;

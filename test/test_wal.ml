@@ -37,8 +37,7 @@ let entry z =
           { path = Printf.sprintf "/n%Ld" z; data = Printf.sprintf "d%Ld" z;
             ephemeral_owner = 0L; sequential = false } ];
     e_time = 0.;
-    e_rsession = 1L;
-    e_rcxid = z;
+    e_rid = { Wal.rsession = 1L; rcxid = z };
     e_close = None }
 
 let replay_zxids r = List.map (fun e -> e.Wal.e_zxid) r.Wal.rc_replay
@@ -344,6 +343,88 @@ let test_double_restart_is_idempotent () =
   check_bool "replica state is a fixed point of recovery" true
     (Ztree.equal_state (Ensemble.tree_of ensemble 2) (Ensemble.tree_of ensemble 0))
 
+(* {2 The WAL is the only committed log}
+
+   A member's committed history lives only in its WAL, which prunes
+   records below the older of its two snapshots. A peer that falls
+   behind that prefix can no longer be replayed txn by txn and must be
+   sent a SNAP. Every run is bounded ([~until]), so a Fetch/Propose
+   livelock fails the test instead of hanging it. *)
+
+let write_n (s : Zk_client.handle) prefix n =
+  for i = 0 to n - 1 do
+    ignore
+      (ok_or_fail "write"
+         (s.Zk_client.create (Printf.sprintf "/%s%d" prefix i) ~data:"x"))
+  done
+
+let converged ensemble id =
+  let lid = Option.get (Ensemble.leader_id ensemble) in
+  Ztree.equal_state (Ensemble.tree_of ensemble id) (Ensemble.tree_of ensemble lid)
+
+(* [lagger] is cut off while 40 writes commit and the leader snapshots
+   past the whole gap; after the heal it must catch up from the next
+   writes' gap repair alone. *)
+let partitioned_member_catches_up ~observers ~lagger () =
+  let engine, ensemble =
+    make ~servers:3
+      ~config_adjust:(fun c ->
+        { c with Ensemble.observers; snapshot_every = 8; election_timeout = 0.1 })
+      ()
+  in
+  Process.spawn engine (fun () ->
+      let s = Ensemble.session ensemble ~server:0 () in
+      Ensemble.partition ensemble [ [ lagger ] ];
+      write_n s "p" 40;
+      Ensemble.heal ensemble;
+      write_n s "q" 5);
+  Engine.run ~until:5. engine;
+  check_bool "the leader's log was pruned past the gap" true
+    (Ensemble.wal_records ensemble 0 < 40);
+  check_bool "the partitioned member converges with the leader" true
+    (converged ensemble lagger)
+
+let test_partitioned_follower_catches_up () =
+  partitioned_member_catches_up ~observers:0 ~lagger:2 ()
+
+let test_partitioned_observer_catches_up () =
+  partitioned_member_catches_up ~observers:1 ~lagger:3 ()
+
+(* A restarted follower is synced by SNAP when its gap reaches below
+   the leader's pruned prefix, and by DIFF while the leader's WAL still
+   holds the gap. *)
+let restart_sync ~before ~during () =
+  let engine, ensemble =
+    make ~servers:3
+      ~config_adjust:(fun c ->
+        { c with Ensemble.snapshot_every = 8; election_timeout = 0.1 })
+      ()
+  in
+  let snaps = ref 0 and diffs = ref 0 in
+  Process.spawn engine (fun () ->
+      let s = Ensemble.session ensemble ~server:0 () in
+      write_n s "b" before;
+      Process.sleep 0.05;
+      Ensemble.crash ensemble 2;
+      write_n s "d" during;
+      let snaps0 = Ensemble.transfer_snaps ensemble
+      and diffs0 = Ensemble.transfer_diff_txns ensemble in
+      Ensemble.restart ensemble 2;
+      snaps := Ensemble.transfer_snaps ensemble - snaps0;
+      diffs := Ensemble.transfer_diff_txns ensemble - diffs0);
+  Engine.run ~until:5. engine;
+  check_bool "the restarted follower converges" true (converged ensemble 2);
+  (!snaps, !diffs)
+
+let test_restart_below_pruned_prefix_snaps () =
+  let snaps, _ = restart_sync ~before:0 ~during:40 () in
+  check_int "one SNAP covers the pruned gap" 1 snaps
+
+let test_restart_inside_wal_diffs () =
+  let snaps, diffs = restart_sync ~before:20 ~during:5 () in
+  check_int "no SNAP while the WAL holds the gap" 0 snaps;
+  check_bool "the gap is diff-synced" true (diffs > 0)
+
 let () =
   Alcotest.run "wal"
     [ ( "log-model",
@@ -369,4 +450,13 @@ let () =
           Alcotest.test_case "rotten log resyncs from the leader" `Quick
             test_rotten_log_resyncs_from_leader;
           Alcotest.test_case "double restart is idempotent" `Quick
-            test_double_restart_is_idempotent ] ) ]
+            test_double_restart_is_idempotent ] );
+      ( "pruning",
+        [ Alcotest.test_case "partitioned follower catches up" `Quick
+            test_partitioned_follower_catches_up;
+          Alcotest.test_case "partitioned observer catches up" `Quick
+            test_partitioned_observer_catches_up;
+          Alcotest.test_case "restart below the pruned prefix snaps" `Quick
+            test_restart_below_pruned_prefix_snaps;
+          Alcotest.test_case "restart inside the WAL diffs" `Quick
+            test_restart_inside_wal_diffs ] ) ]
